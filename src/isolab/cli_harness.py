@@ -354,6 +354,9 @@ def cmd_stokes(args) -> int:
             "diag_residual": num.diag_residual,
             "monodromy_mismatch": monodromy_mismatch(system, num.s_plus,
                                                      num.s_minus),
+            "taylor_steps": num.steps,
+            "taylor_terms": num.terms,
+            "tail_bound": num.tail_bound,
         }
 
     results = _map_indices(work, args.samples, _thread_count(args))
@@ -376,9 +379,11 @@ def cmd_stokes(args) -> int:
         _write_csv(
             out / "stokes.csv",
             ["index", "entrywise_err", "triangularity_residual",
-             "diag_residual", "monodromy_mismatch", "pass"],
+             "diag_residual", "monodromy_mismatch", "taylor_steps",
+             "taylor_terms", "tail_bound", "pass"],
             [[r["index"], r["entrywise_err"], r["triangularity_residual"],
-              r["diag_residual"], r["monodromy_mismatch"], int(r["pass"])]
+              r["diag_residual"], r["monodromy_mismatch"], r["taylor_steps"],
+              r["taylor_terms"], r["tail_bound"], int(r["pass"])]
              for r in results],
         )
     print(f"stokes: {args.samples - failures}/{args.samples} samples passed "

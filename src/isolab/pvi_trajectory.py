@@ -60,6 +60,9 @@ __all__ = [
 
 _TINY_COEFF = 1e-250
 _KEY_TOL = 1e-9
+#: gamma_n = n u / (1 - n u) of Higham's bound for chains of n = 128
+#: floating-point operations (unit roundoff u = eps / 2).
+_ROUNDING_GAMMA = 64.0 * float(np.finfo(float).eps)
 
 
 class PuiseuxSeries:
@@ -69,14 +72,22 @@ class PuiseuxSeries:
     the terms.  ``cap`` is the hard truncation bound on that real part and
     ``valid`` records up to which real exponent the series is complete (all
     true terms present), so that arithmetic can propagate honest accuracy.
+
+    A ``majorant`` series holds magnitudes and does magnitude arithmetic:
+    subtraction adds, scaling and differentiation multiply by moduli, and
+    the inverse sums the geometric series of |tail| / |lead|.  Evaluating an
+    expression on majorants gives, key by key, the sum of the moduli of the
+    products that the plain evaluation adds up, which bounds its rounding
+    error (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
     """
 
-    __slots__ = ("sigma", "cap", "c", "valid")
+    __slots__ = ("sigma", "cap", "c", "valid", "majorant")
 
     def __init__(self, sigma: complex, cap: float, coeffs: dict | None = None,
-                 valid: float | None = None):
+                 valid: float | None = None, majorant: bool = False):
         self.sigma = complex(sigma)
         self.cap = float(cap)
+        self.majorant = majorant
         self.c: dict[tuple[int, int], complex] = {}
         if coeffs:
             for k, v in coeffs.items():
@@ -106,8 +117,18 @@ class PuiseuxSeries:
         return PuiseuxSeries(sigma, cap, {tuple(key): coeff})
 
     def _check(self, other: "PuiseuxSeries") -> None:
-        if self.sigma != other.sigma or self.cap != other.cap:
-            raise DomainError("incompatible series (different sigma or cap)")
+        if (self.sigma != other.sigma or self.cap != other.cap
+                or self.majorant != other.majorant):
+            raise DomainError("incompatible series (different sigma, cap or kind)")
+
+    def _new(self, coeffs: dict, valid: float) -> "PuiseuxSeries":
+        return PuiseuxSeries(self.sigma, self.cap, coeffs, valid, self.majorant)
+
+    def to_majorant(self) -> "PuiseuxSeries":
+        """The majorant series of the coefficient moduli."""
+        return PuiseuxSeries(self.sigma, self.cap,
+                             {k: abs(v) for k, v in self.c.items()}, self.valid,
+                             majorant=True)
 
     # -- ring operations -----------------------------------------------------
 
@@ -116,15 +137,14 @@ class PuiseuxSeries:
         out = dict(self.c)
         for k, v in other.c.items():
             out[k] = out.get(k, 0.0) + v
-        return PuiseuxSeries(self.sigma, self.cap, out,
-                             valid=min(self.valid, other.valid))
+        return self._new(out, min(self.valid, other.valid))
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + other.scale(-1.0)
 
     def scale(self, z: complex) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.sigma, self.cap,
-                             {k: v * z for k, v in self.c.items()}, valid=self.valid)
+        z = abs(z) if self.majorant else z
+        return self._new({k: v * z for k, v in self.c.items()}, self.valid)
 
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         self._check(other)
@@ -136,15 +156,15 @@ class PuiseuxSeries:
                 if self.re_exp(k) <= cap:
                     out[k] = out.get(k, 0.0) + v1 * v2
         valid = min(self.valid + other.lead_re(), other.valid + self.lead_re(), self.cap)
-        return PuiseuxSeries(self.sigma, self.cap, out, valid=valid)
+        return self._new(out, valid)
 
     def derivative(self) -> "PuiseuxSeries":
         out: dict[tuple[int, int], complex] = {}
         for (a, b), v in self.c.items():
             e = self.exponent((a, b))
             if abs(e) > 1e-14:
-                out[(a - 1, b - 1)] = v * e
-        return PuiseuxSeries(self.sigma, self.cap, out, valid=self.valid - 1.0)
+                out[(a - 1, b - 1)] = v * (abs(e) if self.majorant else e)
+        return self._new(out, self.valid - 1.0)
 
     def primitive_skip_log(self) -> tuple[complex, "PuiseuxSeries"]:
         """Antiderivative, splitting off the 1/x term.
@@ -184,8 +204,9 @@ class PuiseuxSeries:
             )
         a0, b0 = k0
         rel_cap = self.cap - re0
+        sign = 1.0 if self.majorant else -1.0
         tail: dict[tuple[int, int], complex] = {
-            (a - a0, b - b0): -v / c0 for (a, b), v in ordered[1:]
+            (a - a0, b - b0): sign * v / c0 for (a, b), v in ordered[1:]
         }
         acc: dict[tuple[int, int], complex] = {(0, 0): 1.0}
         term: dict[tuple[int, int], complex] = {(0, 0): 1.0}
@@ -209,8 +230,7 @@ class PuiseuxSeries:
         else:
             raise ConvergenceError("series inversion did not terminate")
         out = {(a - a0, b - b0): v / c0 for (a, b), v in acc.items()}
-        return PuiseuxSeries(self.sigma, self.cap, out,
-                             valid=min(self.valid - 2.0 * re0, self.cap))
+        return self._new(out, min(self.valid - 2.0 * re0, self.cap))
 
     def coeff(self, key: tuple[int, int]) -> complex:
         return self.c.get(tuple(key), 0.0 + 0.0j)
@@ -330,9 +350,38 @@ def _residual_series(y: PuiseuxSeries, thetas, x: PuiseuxSeries,
     return ypp - bracket1 * (yp * yp) + bracket2 * yp - pref * bracket3
 
 
+def _check_cancellation(y: PuiseuxSeries, thetas, keys) -> None:
+    """Raise ConvergenceError unless the residual of ``y`` cancels at ``keys``.
+
+    Cancels means: down to rounding.  The residual evaluated on majorants
+    sums the moduli of the products at each key, and _ROUNDING_GAMMA times
+    that sum bounds the rounding error of the plain residual (Higham 2002,
+    ch. 3), at any coefficient scale.
+    """
+    x = PuiseuxSeries.monomial(y.sigma, y.cap, (1, 1))
+    one = PuiseuxSeries.monomial(y.sigma, y.cap, (0, 0))
+    parts = [x, x.inverse(), (x - one).inverse(), one]
+    res = _residual_series(y, thetas, *parts)
+    need = max(y.re_exp(k) for k in keys)
+    if res.valid + _KEY_TOL < need:
+        raise ConvergenceError(
+            f"residual series only complete to {res.valid}, need {need}; "
+            "increase the series cap"
+        )
+    bound = _residual_series(y.to_majorant(), thetas,
+                             *(p.to_majorant() for p in parts))
+    for k in keys:
+        r, floor = abs(res.coeff(k)), _ROUNDING_GAMMA * abs(bound.coeff(k))
+        if r > floor:
+            raise ConvergenceError(
+                f"lattice-series residual {r:.3e} at key {k} did not cancel "
+                f"(rounding floor {floor:.3e})"
+            )
+
+
 def _solve_lattice_series(d: PviAsymptoticData, cutoff_rel: float,
                           ) -> tuple[PuiseuxSeries, list[tuple[int, int]]]:
-    """Newton iteration for the Puiseux coefficients of y near x = 0."""
+    """Puiseux coefficients of y near x = 0, by forward substitution."""
     sigma, J = d.sigma, d.J
     s = sigma.real
     cap = (1.0 - s) + cutoff_rel + 1.0
@@ -353,16 +402,6 @@ def _solve_lattice_series(d: PviAsymptoticData, cutoff_rel: float,
             cmap[(1 + a, b)] = cv
         return PuiseuxSeries(sigma, cap, cmap, valid=y_valid)
 
-    def residual(coeff: np.ndarray) -> np.ndarray:
-        r = _residual_series(build_y(coeff), d.thetas, x, inv_x, inv_xm1, one)
-        need = max(PuiseuxSeries(sigma, cap).re_exp(k) for k in eq_keys)
-        if r.valid + _KEY_TOL < need:
-            raise ConvergenceError(
-                f"residual series only complete to {r.valid}, need {need}; "
-                "increase the series cap"
-            )
-        return np.array([r.coeff(k) for k in eq_keys], dtype=complex)
-
     # The system is triangular: the residual coefficient at base + lam[j] is
     # affine in coeff[j] once the lower coefficients are fixed (a product of
     # two corrections always lands at a strictly higher key), so forward
@@ -370,38 +409,29 @@ def _solve_lattice_series(d: PviAsymptoticData, cutoff_rel: float,
     # perturbative branch.  A global Newton iteration is unsafe here: its
     # overshoots can converge to a different root of the truncated system.
     coeff = np.zeros(n, dtype=complex)
-    for j in range(n):
+    for j, (a, b) in enumerate(lam):
         key = eq_keys[j]
         r0 = _residual_series(build_y(coeff), d.thetas, x, inv_x, inv_xm1,
                               one).coeff(key)
+        # The slope is E^2 to leading order, E = a(1-sigma) + b sigma the
+        # key's exponent above J x^(1-sigma): a pure number, independent of J
+        # and of the coefficient scale, so the resonance test below is
+        # absolute.  The secant step is sized to the solution |r0| / |E|^2;
+        # a unit step leaves r1 - r0 to the rounding of r0 once |r0| >> 1.
+        step = max(1.0, abs(r0) / abs(a * (1.0 - sigma) + b * sigma) ** 2)
         pert = coeff.copy()
-        pert[j] += 1.0
+        pert[j] += step
         r1 = _residual_series(build_y(pert), d.thetas, x, inv_x, inv_xm1,
                               one).coeff(key)
-        m_lin = r1 - r0
-        if abs(m_lin) < 1e-12 * max(1.0, abs(r0)):
+        m_lin = (r1 - r0) / step
+        if abs(m_lin) < 1e-12:
             raise ConvergenceError(
                 f"lattice key {lam[j]} is resonant (linear coefficient "
                 f"{m_lin}); the parameters are too close to a resonance"
             )
         coeff[j] = -r0 / m_lin
-    # Products of same-scale coefficients land on the checked keys, so the
-    # cancellation floor of the residual is a few orders above eps * scale.
-    j_scale = max(1.0, abs(J), 1.0 / abs(J))
-    scale = max(j_scale, float(np.max(np.abs(coeff))) if n else 1.0)
-    r_final = residual(coeff)
-    if float(np.max(np.abs(r_final))) > 1e-7 * scale:
-        raise ConvergenceError(
-            f"lattice-series residual {float(np.max(np.abs(r_final))):.3e} "
-            f"did not cancel (coefficient scale {scale:.3e})"
-        )
     y_series = build_y(coeff)
-    # the residual coefficient at the base key must cancel identically
-    r_full = _residual_series(y_series, d.thetas, x, inv_x, inv_xm1, one)
-    if abs(r_full.coeff(base)) > 1e-7 * scale:
-        raise ConvergenceError(
-            f"base residual coefficient {r_full.coeff(base)} failed to cancel"
-        )
+    _check_cancellation(y_series, d.thetas, [base] + eq_keys)
     return y_series, lam
 
 

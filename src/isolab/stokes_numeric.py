@@ -24,10 +24,20 @@ radius rho, around a semicircular polygon, and outward again, so the path
 never approaches the Fuchsian point.
 
 Frames at |z| = R are produced by evaluating the (divergent, optimally
-truncated) formal series at 2R and refining by integrating the actual system
-down the ray from 2R to R.  Triangularity and the diagonal law of the
-resulting matrices are *checked*, never projected: a residual above tolerance
-raises :class:`AccuracyError`.
+truncated) formal series at 2R and continuing the value down the ray from 2R
+to R.  Triangularity and the diagonal law of the resulting matrices are
+*checked*, never projected: a residual above tolerance raises
+:class:`AccuracyError`.
+
+Every continuation, down the ray and along the dumbbell, steps with the
+Taylor series of the system itself.  Multiplied by z the ODE is linear with
+polynomial coefficients, z F' = (zU + Phi) F, so about any z0 != 0 its Taylor
+coefficients obey a three-term recurrence, one 3x3 product per term
+(holonomic continuation: van der Hoeven, Theor. Comput. Sci. 210, 1999;
+Mezzarobba, arXiv:1607.01967).  ``rtol`` bounds the summed truncation tail of
+each continuation; a step that needs more than ``_MAX_TERMS`` terms raises
+:class:`BudgetError`.  The result reports the steps, the terms and the summed
+tail.
 """
 
 from __future__ import annotations
@@ -40,8 +50,7 @@ from itertools import permutations
 import numpy as np
 
 from .core_linalg import as_matrix
-from .errors import AccuracyError, DomainError
-from .ode_engine import integrate_contour
+from .errors import AccuracyError, BudgetError, DomainError
 
 __all__ = [
     "IrregularSystem",
@@ -56,6 +65,12 @@ __all__ = [
 ]
 
 _RESONANCE_TOL = 1e-8
+#: A Taylor step keeps |u_k - c| |h| <= _PHASE_STEP for the centred exponents.
+_PHASE_STEP = 3.0
+#: Terms one Taylor step may sum before it gives up with BudgetError; the
+#: terms of a step of at most half the distance to 0 decay like 2^-k times a
+#: power of k.
+_MAX_TERMS = 400
 
 
 @dataclass(frozen=True)
@@ -158,28 +173,90 @@ def formal_series_coefficients(system: IrregularSystem, order: int) -> list[np.n
     return hs
 
 
-def _system_rhs(system: IrregularSystem):
-    u_mat = np.diag(system.u)
-    phi = system.phi
-    n = system.n
+@dataclass
+class _TaylorWork:
+    """Work of the Taylor continuation, summed over the steps it made."""
 
-    def rhs(z, state):
-        f = state.reshape(n, n)
-        return ((u_mat + phi / z) @ f).ravel()
-
-    return rhs
+    steps: int = 0
+    terms: int = 0
+    tail: float = 0.0
 
 
-def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
-                    order: int = 9, series_factor: float = 2.0,
-                    rtol: float = 1e-12, atol: float = 1e-14,
-                    hs: list[np.ndarray] | None = None) -> np.ndarray:
-    """Canonical frame F(z) on the sheet fixed by ``log_z``.
+def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, rtol: float,
+                 atol: float, work: _TaylorWork) -> np.ndarray:
+    """Continue the frame value ``f`` along the polygon through ``vertices``.
 
-    Evaluates the optimally-truncated formal series at z * series_factor on
-    the same ray (where it is more accurate) and transports the value back to
-    z by integrating the system itself.
+    Multiplied by z the system reads z F' = (z U + Phi) F, so about z0 != 0
+    the Taylor coefficients of F obey the three-term recurrence
+
+        c_{k+1} = ((z0 U + Phi - k) c_k + U c_{k-1}) / (z0 (k+1)),
+
+    summed here in the scaled form d_k = c_k h^k for a step h, so no term
+    overflows.  U is first centred (F = e^{cz} G, c midway between u_1 and
+    u_n): a scalar factor, which leaves the columns' relative size alone and
+    bounds the phase |(u_k - c) h| by spread(u) |h| / 2.  A step is at most
+    |z0|/2, inside the disc of convergence that reaches to the Fuchsian
+    point 0, and at most 2 * _PHASE_STEP / spread(u).
+    The steps are planned first, so that ``rtol`` can be shared among them:
+    a step ends after two consecutive terms fall below rtol / (number of
+    steps) times the column scale max|F_col| + atol/rtol, and the summed
+    tail of the whole path (added to ``work.tail``) stays near ``rtol``.
     """
+    if not rtol > 0.0:
+        raise DomainError("rtol must be positive")
+    u = system.u
+    centre = 0.5 * (u[0] + u[-1])
+    v = u - centre
+    hmax = 2.0 * _PHASE_STEP / abs(u[-1] - u[0])
+    plan: list[tuple[complex, complex]] = []
+    pts = [complex(p) for p in vertices]
+    for za, zb in zip(pts[:-1], pts[1:]):
+        seg = zb - za
+        length = abs(seg)
+        if length == 0.0:
+            continue
+        t = min(max(-(za * seg.conjugate()).real / length ** 2, 0.0), 1.0)
+        if abs(za + t * seg) <= 1e-9 * length:
+            raise DomainError("contour passes through the Fuchsian point z = 0")
+        z = za
+        while abs(zb - z) > min(0.5 * abs(z), hmax):
+            h = min(0.5 * abs(z), hmax) * seg / length
+            plan.append((z, h))
+            z += h
+        plan.append((z, zb - z))
+    tol = rtol / max(len(plan), 1)
+    floor = atol / rtol
+    f = np.asarray(f, dtype=complex)
+    for z, h in plan:
+        b = system.phi + np.diag(z * v)
+        q = h / z
+        scale = np.max(np.abs(f), axis=0) + floor
+        term = f / scale
+        prev = np.zeros_like(term)
+        total = term.copy()
+        k = small = 0
+        while small < 2:
+            if k == _MAX_TERMS:
+                raise BudgetError(
+                    f"Taylor step {h:.3g} at z = {z:.6g} did not converge in "
+                    f"{_MAX_TERMS} terms"
+                )
+            prev, term = term, (q / (k + 1)) * (b @ term - k * term
+                                                + h * v[:, None] * prev)
+            total += term
+            k += 1
+            size = float(np.max(np.abs(term)))
+            small = small + 1 if size <= tol else 0
+        f = total * (scale * cmath.exp(centre * h))
+        work.steps += 1
+        work.terms += k
+        work.tail += size
+    return f
+
+
+def _canonical_frame(system: IrregularSystem, z: complex, log_z: complex,
+                     order: int, series_factor: float, rtol: float, atol: float,
+                     hs: list[np.ndarray] | None, work: _TaylorWork) -> np.ndarray:
     z = complex(z)
     if abs(cmath.exp(log_z) - z) > 1e-9 * abs(z):
         raise DomainError("log_z is not a logarithm of z")
@@ -200,23 +277,39 @@ def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
     f2 = h * exp_u[None, :] * exp_d[None, :]  # H @ diag(e^{uz}) @ diag(z^{dphi})
     if series_factor == 1.0:
         return f2
-    res = integrate_contour(_system_rhs(system), [z2, z], f2.ravel(),
-                            rtol=rtol, atol=atol)
-    return res.y_end.reshape(n, n)
+    return _taylor_path(system, f2, [z2, z], rtol, atol, work)
+
+
+def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
+                    order: int = 9, series_factor: float = 2.0,
+                    rtol: float = 1e-12, atol: float = 1e-14,
+                    hs: list[np.ndarray] | None = None) -> np.ndarray:
+    """Canonical frame F(z) on the sheet fixed by ``log_z``.
+
+    Evaluates the optimally-truncated formal series at z * series_factor on
+    the same ray (where it is more accurate) and continues the value back to
+    z by Taylor steps of the system itself.
+    """
+    return _canonical_frame(system, z, log_z, order, series_factor, rtol, atol,
+                            hs, _TaylorWork())
 
 
 def continue_frame(system: IrregularSystem, f0: np.ndarray, contour, *,
                    rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
     """Analytically continue a frame value along a polygonal contour."""
-    n = system.n
-    res = integrate_contour(_system_rhs(system), contour,
-                            np.asarray(f0, dtype=complex).ravel(),
-                            rtol=rtol, atol=atol)
-    return res.y_end.reshape(n, n)
+    return _taylor_path(system, f0, contour, rtol, atol, _TaylorWork())
 
 
 @dataclass
 class StokesNumericResult:
+    """Stokes pair with its structural residuals and the work that made it.
+
+    ``steps`` and ``terms`` count the Taylor steps and the series terms of
+    the four continuations; ``tail_bound`` sums the last term of every step,
+    relative to the frame's column scale: an estimate of the accumulated
+    truncation error before propagation.
+    """
+
     s_plus: np.ndarray
     s_minus: np.ndarray
     radius: float
@@ -224,6 +317,9 @@ class StokesNumericResult:
     triangularity_residual: float
     diag_residual: float
     series_tail_estimate: float
+    steps: int
+    terms: int
+    tail_bound: float
 
 
 def _arc(rho: float, theta0: float, theta1: float, n_arc: int) -> list[complex]:
@@ -247,17 +343,17 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     tail = float(np.max(np.abs(hs[-1]))) * (2.0 * r) ** (-order)
 
     ln_r = math.log(r)
-    f_plus_r = canonical_frame(system, r, ln_r, order=order, rtol=rtol,
-                               atol=atol, hs=hs)
-    f_minus_mr = canonical_frame(system, -r, ln_r - 1j * math.pi, order=order,
-                                 rtol=rtol, atol=atol, hs=hs)
+    work = _TaylorWork()
+    f_plus_r = _canonical_frame(system, r, ln_r, order, 2.0, rtol, atol, hs, work)
+    f_minus_mr = _canonical_frame(system, -r, ln_r - 1j * math.pi, order, 2.0,
+                                  rtol, atol, hs, work)
 
     # F+ continued clockwise through the lower half-plane: arg 0 -> -pi
     lower = [r] + _arc(rho, 0.0, -math.pi, n_arc) + [-r]
-    fp_cont = continue_frame(system, f_plus_r, lower, rtol=rtol, atol=atol)
+    fp_cont = _taylor_path(system, f_plus_r, lower, rtol, atol, work)
     # F- continued clockwise on its sheet: arg -pi -> -2 pi (upper half-plane)
     upper = [-r] + _arc(rho, -math.pi, -2.0 * math.pi, n_arc) + [r]
-    fm_cont = continue_frame(system, f_minus_mr, upper, rtol=rtol, atol=atol)
+    fm_cont = _taylor_path(system, f_minus_mr, upper, rtol, atol, work)
 
     diag = np.diag(system.phi)
     e_minus = np.exp(-1j * math.pi * diag)
@@ -292,6 +388,9 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
         triangularity_residual=tri,
         diag_residual=diag_res,
         series_tail_estimate=tail,
+        steps=work.steps,
+        terms=work.terms,
+        tail_bound=work.tail,
     )
 
 

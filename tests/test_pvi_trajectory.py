@@ -17,9 +17,12 @@ from numpy.testing import assert_allclose
 
 from isolab.arrows import PviAsymptoticData, arrow_q
 from isolab.core_linalg import delta_k
-from isolab.errors import DomainError
+from isolab.cli_harness import SampleSpec, sample_parameters
+from isolab.errors import ConvergenceError, DomainError
 from isolab.pvi_trajectory import (
     PuiseuxSeries,
+    _check_cancellation,
+    _solve_lattice_series,
     correction_powers,
     extend_trajectory,
     extrapolate_known_powers,
@@ -326,8 +329,6 @@ class TestRhsSeriesConsistency:
     """The lattice series and the direct right-hand side validate each other."""
 
     def test_series_second_derivative_matches_rhs(self):
-        from isolab.pvi_trajectory import _solve_lattice_series
-
         y_series, _ = _solve_lattice_series(D_MIXED, 2.2)
         x0 = 1e-3
         y0 = y_series.evaluate(x0)
@@ -336,3 +337,37 @@ class TestRhsSeriesConsistency:
         out = pvi_rhs(D_MIXED.thetas)(x0, np.array([y0, yp0, 0.0, 0.0], dtype=complex))
         assert out[0] == yp0
         assert abs(out[1] - ypp0) / abs(ypp0) < 1e-4
+
+
+class TestLatticeCancellation:
+    """The cancellation check of the lattice series is sharp at any scale."""
+
+    @pytest.mark.parametrize("d", [
+        D_MIXED,
+        # coefficients up to 2e8, where a unit secant step loses the slope
+        sample_parameters(SampleSpec(seed=1007, narrow=True), 1),
+    ], ids=["mixed", "seed1007-narrow1"])
+    def test_perturbed_coefficient_fails(self, d):
+        y, lam = _solve_lattice_series(d, 2.2)
+        keys = [(-1, -2)] + [(a - 1, b - 2) for a, b in lam]
+        _check_cancellation(y, d.thetas, keys)
+        scale = max(abs(v) for v in y.c.values())
+        # some keys (e.g. (0, 3) at these thetas) vanish identically and hold
+        # rounding noise only; a relative perturbation of those means nothing
+        solved = [(a, b) for a, b in lam if abs(y.coeff((1 + a, b))) > 1e-12 * scale]
+        assert len(solved) >= 10
+        for a, b in solved:
+            bad = PuiseuxSeries(y.sigma, y.cap, y.c, valid=y.valid)
+            bad.c[(1 + a, b)] *= 1.0 + 1e-6
+            with pytest.raises(ConvergenceError, match="did not cancel"):
+                _check_cancellation(bad, d.thetas, keys)
+
+    def test_majorant_bounds_moduli(self):
+        a = PuiseuxSeries(0.4 + 0.1j, 6.0, {(1, 0): 2.0, (0, 1): 1.0 - 0.5j})
+        b = PuiseuxSeries(0.4 + 0.1j, 6.0, {(0, 0): 1.0, (1, 1): -0.7j})
+        plain = (a - b) * b.inverse()
+        bound = (a.to_majorant() - b.to_majorant()) * b.to_majorant().inverse()
+        assert bound.c.keys() >= plain.c.keys()
+        for k, v in plain.c.items():
+            assert abs(v) <= bound.c[k].real * (1 + 1e-14)
+        assert all(v.imag == 0 and v.real >= 0 for v in bound.c.values())

@@ -1,0 +1,111 @@
+"""Tests for the Taylor-recurrence continuation behind the numerical Stokes
+oracle, and for a bridge draw whose lattice coefficients reach 2e8.
+
+Independent oracles: the exact solution e^{Uz} z^{Phi} of a diagonal system
+on its tracked sheet, the Dormand-Prince integrator of ``ode_engine`` on a
+non-diagonal system, and the closed-form Stokes pair through the bridge.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from isolab import stokes_numeric
+from isolab.arrows import arrow_g, arrow_q
+from isolab.cli_harness import SampleSpec, U_BASE, bridged_phi_at_u0, sample_parameters
+from isolab.errors import BudgetError, DomainError
+from isolab.ode_engine import integrate_contour
+from isolab.stokes_numeric import IrregularSystem, continue_frame, stokes_matrices
+
+U3 = np.array([0.0, 1.0j, 3.0j])
+PHI_DIAG = np.diag([0.21 + 0.1j, -0.33, 0.41 - 0.05j])
+#: TOL_STOKES_ENTRY of the acceptance gate (tests/test_acceptance.py)
+TOL_STOKES_ENTRY = 1e-6
+
+
+def _arc(rho, theta0, theta1, n=64):
+    return [rho * cmath.exp(1j * th) for th in np.linspace(theta0, theta1, n + 1)]
+
+
+def _exact(z, log_z):
+    """e^{Uz} z^{Phi} for the diagonal residue, with log z given."""
+    return np.diag(np.exp(U3 * z + np.diag(PHI_DIAG) * log_z))
+
+
+class TestTaylorContinuation:
+    """The frame continuation of ``continue_frame`` and ``stokes_matrices``."""
+
+    @pytest.mark.parametrize("start, log_start, arc, end, log_end", [
+        # plus frame: arg 0 -> -pi through the lower half-plane
+        (60.0, math.log(60.0), (0.0, -math.pi), -60.0, math.log(60.0) - 1j * math.pi),
+        # minus frame: arg -pi -> -2 pi through the upper half-plane
+        (-60.0, math.log(60.0) - 1j * math.pi, (-math.pi, -2.0 * math.pi), 60.0,
+         math.log(60.0) - 2j * math.pi),
+    ])
+    def test_diagonal_dumbbell_matches_exact_solution(self, start, log_start, arc,
+                                                      end, log_end):
+        system = IrregularSystem(U3, PHI_DIAG)
+        contour = [start] + _arc(1.5, *arc) + [end]
+        got = continue_frame(system, _exact(start, log_start), contour)
+        want = _exact(end, log_end)
+        assert np.all(got[~np.eye(3, dtype=bool)] == 0)
+        rel = np.abs(np.diag(got) - np.diag(want)) / np.abs(np.diag(want))
+        assert np.max(rel) < 1e-12
+
+    def test_matches_dp5_on_nondiagonal_system(self):
+        rng = np.random.default_rng(11)
+        phi = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        system = IrregularSystem(U3, phi)
+        contour = [8.0] + _arc(1.5, 0.0, -math.pi, 16) + [-8.0]
+        f0 = np.eye(3, dtype=complex) + 0.1 * phi
+
+        def rhs(z, state):
+            return ((np.diag(U3) + phi / z) @ state.reshape(3, 3)).ravel()
+
+        dp5 = integrate_contour(rhs, contour, f0.ravel(), rtol=1e-12,
+                                atol=1e-14).y_end.reshape(3, 3)
+        got = continue_frame(system, f0, contour)
+        assert np.max(np.abs(got - dp5)) / np.max(np.abs(dp5)) < 1e-10
+
+    def test_term_cap_raises_budget_error(self, monkeypatch):
+        system = IrregularSystem(U3, PHI_DIAG)
+        monkeypatch.setattr(stokes_numeric, "_MAX_TERMS", 3)
+        with pytest.raises(BudgetError, match="did not converge"):
+            continue_frame(system, np.eye(3, dtype=complex), [4.0, 2.0])
+
+    def test_contour_through_origin_rejected(self):
+        system = IrregularSystem(U3, PHI_DIAG)
+        with pytest.raises(DomainError, match="Fuchsian"):
+            continue_frame(system, np.eye(3, dtype=complex), [2.0, -2.0])
+
+    def test_nonpositive_rtol_rejected(self):
+        system = IrregularSystem(U3, PHI_DIAG)
+        with pytest.raises(DomainError, match="rtol"):
+            continue_frame(system, np.eye(3, dtype=complex), [4.0, 2.0], rtol=0.0)
+
+    def test_result_reports_repeatable_work(self):
+        system = IrregularSystem(U3, PHI_DIAG)
+        first = stokes_matrices(system)
+        again = stokes_matrices(system)
+        assert first.steps > 0 and first.terms > first.steps
+        assert (first.steps, first.terms, first.tail_bound) == (
+            again.steps, again.terms, again.tail_bound)
+        # four continuations, each holding its summed tail near rtol
+        assert 0.0 < first.tail_bound < 4e-12
+
+
+class TestBridgeRegression:
+    """A draw whose lattice coefficients reach 2e8 still bridges."""
+
+    def test_seed_1007_draw_1_bridges_and_agrees(self):
+        d = sample_parameters(SampleSpec(seed=1007, narrow=True), 1)
+        closed = arrow_g(arrow_q(d))
+        phi = bridged_phi_at_u0(d)
+        num = stokes_matrices(IrregularSystem(U_BASE, phi), rtol=1e-12)
+        entry = max(float(np.max(np.abs(num.s_plus - closed.s_plus))),
+                    float(np.max(np.abs(num.s_minus - closed.s_minus))))
+        assert entry < TOL_STOKES_ENTRY
