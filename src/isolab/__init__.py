@@ -19,10 +19,12 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import arrows, cli_harness, core_linalg, jmms_flow, ode_engine
+from . import arrows, core_linalg, jmms_flow, ode_engine
 from . import pvi_trajectory, special_fn, stokes_numeric
 from .errors import IsolabError
 
+# cli_harness is not imported here, so that ``python -m isolab.cli_harness``
+# runs the CLI as __main__ without a second copy in sys.modules.
 __all__ = [
     "__version__",
     "IsolabError",

@@ -13,8 +13,10 @@ sixth Painleve equation
 from a seed near the critical point x = 0 where y ~ J x^(1-sigma).  Seeding
 uses a two-parameter Puiseux lattice series: the solution is expanded over
 exponents a(1-sigma) + b sigma with (a, b) on an integer lattice, and the
-coefficients are determined by a Newton iteration on the coefficient
-equations of the residual.  Alongside (y, y') the integration carries the two
+coefficients are determined by forward substitution, one level a + b at a
+time: each coefficient equation of the residual is affine in its own key's
+coefficient, with slope (a(1-sigma) + b sigma)^2, once the lower levels are
+fixed.  Alongside (y, y') the integration carries the two
 logarithmic gauge accumulators w_i whose exponentials are the diagonal gauge
 functions k_i(x) normalised to k_i(x) ~ x^{gamma_i} as x -> 0.
 
@@ -146,15 +148,24 @@ class PuiseuxSeries:
         z = abs(z) if self.majorant else z
         return self._new({k: v * z for k, v in self.c.items()}, self.valid)
 
+    def _by_re_exp(self, coeffs: dict) -> list[tuple[float, int, int, complex]]:
+        """(real exponent, a, b, coefficient) of ``coeffs``, lowest first."""
+        s = self.sigma.real
+        return sorted(((a * (1.0 - s) + b * s, a, b, v) for (a, b), v in coeffs.items()),
+                      key=lambda t: t[0])
+
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         self._check(other)
         out: dict[tuple[int, int], complex] = {}
+        lhs, rhs = self._by_re_exp(self.c), self._by_re_exp(other.c)
         cap = self.cap + _KEY_TOL
-        for (a1, b1), v1 in self.c.items():
-            for (a2, b2), v2 in other.c.items():
+        for r1, a1, b1, v1 in lhs:
+            room = cap - r1
+            for r2, a2, b2, v2 in rhs:
+                if r2 > room:
+                    break
                 k = (a1 + a2, b1 + b2)
-                if self.re_exp(k) <= cap:
-                    out[k] = out.get(k, 0.0) + v1 * v2
+                out[k] = out.get(k, 0.0) + v1 * v2
         valid = min(self.valid + other.lead_re(), other.valid + self.lead_re(), self.cap)
         return self._new(out, valid)
 
@@ -194,34 +205,27 @@ class PuiseuxSeries:
         """
         if not self.c:
             raise DomainError("inverse of the zero series")
-        ordered = sorted(self.c.items(), key=lambda kv: self.re_exp(kv[0]))
-        (k0, c0) = ordered[0]
-        re0 = self.re_exp(k0)
-        if len(ordered) > 1 and self.re_exp(ordered[1][0]) - re0 < _KEY_TOL:
+        ordered = self._by_re_exp(self.c)
+        re0, a0, b0, c0 = ordered[0]
+        if len(ordered) > 1 and ordered[1][0] - re0 < _KEY_TOL:
             raise DomainError(
                 "inverse: ambiguous leading term (two keys share the minimal "
                 f"real exponent {re0})"
             )
-        a0, b0 = k0
-        rel_cap = self.cap - re0
+        rel_cap = self.cap - re0 + _KEY_TOL
         sign = 1.0 if self.majorant else -1.0
-        tail: dict[tuple[int, int], complex] = {
-            (a - a0, b - b0): sign * v / c0 for (a, b), v in ordered[1:]
-        }
+        tail = [(r - re0, a - a0, b - b0, sign * v / c0) for r, a, b, v in ordered[1:]]
         acc: dict[tuple[int, int], complex] = {(0, 0): 1.0}
         term: dict[tuple[int, int], complex] = {(0, 0): 1.0}
-        s = self.sigma.real
-
-        def rel_re(key: tuple[int, int]) -> float:
-            return key[0] * (1.0 - s) + key[1] * s
-
         for _ in range(500):
             nxt: dict[tuple[int, int], complex] = {}
-            for (a1, b1), v1 in term.items():
-                for (a2, b2), v2 in tail.items():
+            for r1, a1, b1, v1 in self._by_re_exp(term):
+                room = rel_cap - r1
+                for r2, a2, b2, v2 in tail:
+                    if r2 > room:
+                        break
                     k = (a1 + a2, b1 + b2)
-                    if rel_re(k) <= rel_cap + _KEY_TOL:
-                        nxt[k] = nxt.get(k, 0.0) + v1 * v2
+                    nxt[k] = nxt.get(k, 0.0) + v1 * v2
             term = {k: v for k, v in nxt.items() if abs(v) > _TINY_COEFF}
             if not term:
                 break
@@ -350,17 +354,24 @@ def _residual_series(y: PuiseuxSeries, thetas, x: PuiseuxSeries,
     return ypp - bracket1 * (yp * yp) + bracket2 * yp - pref * bracket3
 
 
-def _check_cancellation(y: PuiseuxSeries, thetas, keys) -> None:
+def _basis_series(sigma: complex, cap: float) -> tuple[PuiseuxSeries, ...]:
+    """The series x, 1/x, 1/(x - 1) and 1 that the residual and gauge take."""
+    x = PuiseuxSeries.monomial(sigma, cap, (1, 1))
+    one = PuiseuxSeries.monomial(sigma, cap, (0, 0))
+    return x, x.inverse(), (x - one).inverse(), one
+
+
+def _check_cancellation(y: PuiseuxSeries, thetas, keys,
+                        basis: tuple[PuiseuxSeries, ...] | None = None) -> None:
     """Raise ConvergenceError unless the residual of ``y`` cancels at ``keys``.
 
     Cancels means: down to rounding.  The residual evaluated on majorants
     sums the moduli of the products at each key, and _ROUNDING_GAMMA times
     that sum bounds the rounding error of the plain residual (Higham 2002,
-    ch. 3), at any coefficient scale.
+    ch. 3), at any coefficient scale.  ``basis`` is ``_basis_series`` at the
+    sigma and cap of ``y``, when the caller has it already.
     """
-    x = PuiseuxSeries.monomial(y.sigma, y.cap, (1, 1))
-    one = PuiseuxSeries.monomial(y.sigma, y.cap, (0, 0))
-    parts = [x, x.inverse(), (x - one).inverse(), one]
+    parts = basis or _basis_series(y.sigma, y.cap)
     res = _residual_series(y, thetas, *parts)
     need = max(y.re_exp(k) for k in keys)
     if res.valid + _KEY_TOL < need:
@@ -380,58 +391,43 @@ def _check_cancellation(y: PuiseuxSeries, thetas, keys) -> None:
 
 
 def _solve_lattice_series(d: PviAsymptoticData, cutoff_rel: float,
+                          basis: tuple[PuiseuxSeries, ...] | None = None,
                           ) -> tuple[PuiseuxSeries, list[tuple[int, int]]]:
-    """Puiseux coefficients of y near x = 0, by forward substitution."""
-    sigma, J = d.sigma, d.J
+    """Puiseux coefficients of y near x = 0, by forward substitution.
+
+    The keys are solved one level a + b at a time, from one residual
+    evaluation per level.  ``basis`` is ``_basis_series`` at the series cap.
+    """
+    sigma = d.sigma
     s = sigma.real
     cap = (1.0 - s) + cutoff_rel + 1.0
     lam = _lattice_keys(sigma, cutoff_rel)
-    n = len(lam)
     base = (-1, -2)
     eq_keys = [(base[0] + a, base[1] + b) for (a, b) in lam]
-
-    x = PuiseuxSeries.monomial(sigma, cap, (1, 1))
-    one = PuiseuxSeries.monomial(sigma, cap, (0, 0))
-    inv_x = x.inverse()
-    inv_xm1 = (x - one).inverse()
+    basis = basis or _basis_series(sigma, cap)
     y_valid = (1.0 - s) + cutoff_rel
 
-    def build_y(coeff: np.ndarray) -> PuiseuxSeries:
-        cmap = {(1, 0): J}
-        for (a, b), cv in zip(lam, coeff):
-            cmap[(1 + a, b)] = cv
-        return PuiseuxSeries(sigma, cap, cmap, valid=y_valid)
-
-    # The system is triangular: the residual coefficient at base + lam[j] is
-    # affine in coeff[j] once the lower coefficients are fixed (a product of
-    # two corrections always lands at a strictly higher key), so forward
-    # substitution with a secant step per key selects exactly the
-    # perturbative branch.  A global Newton iteration is unsafe here: its
-    # overshoots can converge to a different root of the truncated system.
-    coeff = np.zeros(n, dtype=complex)
-    for j, (a, b) in enumerate(lam):
-        key = eq_keys[j]
-        r0 = _residual_series(build_y(coeff), d.thetas, x, inv_x, inv_xm1,
-                              one).coeff(key)
-        # The slope is E^2 to leading order, E = a(1-sigma) + b sigma the
-        # key's exponent above J x^(1-sigma): a pure number, independent of J
-        # and of the coefficient scale, so the resonance test below is
-        # absolute.  The secant step is sized to the solution |r0| / |E|^2;
-        # a unit step leaves r1 - r0 to the rounding of r0 once |r0| >> 1.
-        step = max(1.0, abs(r0) / abs(a * (1.0 - sigma) + b * sigma) ** 2)
-        pert = coeff.copy()
-        pert[j] += step
-        r1 = _residual_series(build_y(pert), d.thetas, x, inv_x, inv_xm1,
-                              one).coeff(key)
-        m_lin = (r1 - r0) / step
-        if abs(m_lin) < 1e-12:
-            raise ConvergenceError(
-                f"lattice key {lam[j]} is resonant (linear coefficient "
-                f"{m_lin}); the parameters are too close to a resonance"
-            )
-        coeff[j] = -r0 / m_lin
-    y_series = build_y(coeff)
-    _check_cancellation(y_series, d.thetas, [base] + eq_keys)
+    # The leading part of the residual is (y/x^2) theta^2 log y, theta = x d/dx.
+    # A correction c x^E relative to J x^(1-sigma), E = a(1-sigma) + b sigma,
+    # moves it by exactly E^2 c at the key base + (a, b).  Every other
+    # dependence on c (products of corrections, the x/y and y corrections)
+    # lands at keys strictly above (a, b) componentwise, hence at a higher
+    # level a + b.  So once the lower levels are fixed, the residual at each
+    # key of a level is affine in that key's coefficient alone with slope
+    # E^2, and E^2 != 0 since Re E >= min(s, 1 - s) > 0: one evaluation
+    # with the level's coefficients at zero gives them all as -r / E^2.
+    # Forward substitution selects the perturbative branch; a global Newton
+    # iteration could converge to another root of the truncated system.
+    cmap = {(1, 0): d.J}
+    for level in sorted({a + b for a, b in lam}):
+        res = _residual_series(PuiseuxSeries(sigma, cap, cmap, valid=y_valid),
+                               d.thetas, *basis)
+        for (a, b), key in zip(lam, eq_keys):
+            if a + b == level:
+                e = a * (1.0 - sigma) + b * sigma
+                cmap[(1 + a, b)] = -res.coeff(key) / (e * e)
+    y_series = PuiseuxSeries(sigma, cap, cmap, valid=y_valid)
+    _check_cancellation(y_series, d.thetas, [base] + eq_keys, basis)
     return y_series, lam
 
 
@@ -514,15 +510,10 @@ def seed_asymptotic(d: PviAsymptoticData, x0: float, cutoff_rel: float = 2.2,
     bad = validate_generic(d)
     if bad:
         raise DomainError("seed_asymptotic: " + "; ".join(bad))
-    y_series, _ = _solve_lattice_series(d, cutoff_rel)
-    sig = d.sigma
-    s = sig.real
-    cap = (1.0 - s) + cutoff_rel + 1.0
-    x = PuiseuxSeries.monomial(sig, cap, (1, 1))
-    one = PuiseuxSeries.monomial(sig, cap, (0, 0))
-    inv_x = x.inverse()
-    inv_xm1 = (x - one).inverse()
-    gammas, prims, w_valid = _w_series(d, y_series, x, inv_x, inv_xm1, one)
+    s = d.sigma.real
+    basis = _basis_series(d.sigma, (1.0 - s) + cutoff_rel + 1.0)
+    y_series, _ = _solve_lattice_series(d, cutoff_rel, basis)
+    gammas, prims, w_valid = _w_series(d, y_series, *basis)
     # Relative truncation estimate: dropped terms carry coefficients at
     # least as large as the retained ones, the leading behaviour is
     # J x^(1-s), and two derivatives amplify a tail exponent e by (e/(1-s))^2

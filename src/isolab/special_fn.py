@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BranchCutError, DomainError, GammaPoleError
+from .errors import BranchCutError, DomainError, GammaPoleError, ScalingError
 
 __all__ = [
     "BranchedLog",
@@ -65,7 +65,8 @@ def gamma_c(z: complex, pole_tol: float = POLE_TOL) -> complex:
     Raises :class:`GammaPoleError` when ``z`` lies within ``pole_tol`` of a
     nonpositive integer; the error records the nearest pole.  Relative
     accuracy is ~1e-13 for moduli up to a few tens (certified in tests for
-    |z| <= 30).
+    |z| <= 30).  Raises :class:`ScalingError` when Gamma(z) leaves the double
+    range.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -84,7 +85,20 @@ def gamma_c(z: complex, pole_tol: float = POLE_TOL) -> complex:
     for i, p in enumerate(_LANCZOS_P[1:], start=1):
         acc += p / (w + i)
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * (t ** (w + 0.5)) * cmath.exp(-t) * acc
+    try:
+        return math.sqrt(2.0 * math.pi) * (t ** (w + 0.5)) * cmath.exp(-t) * acc
+    except OverflowError:
+        # t^(w + 1/2) alone overflows near Re z = 171 although Gamma(z) fits:
+        # split the power in two halves and let e^(-t) damp one before the
+        # product.
+        try:
+            half = t ** ((w + 0.5) / 2.0)
+        except OverflowError:
+            half = complex(math.inf)
+        out = math.sqrt(2.0 * math.pi) * half * (half * cmath.exp(-t)) * acc
+    if not cmath.isfinite(out):
+        raise ScalingError(f"gamma_c: Gamma({z}) leaves the double range")
+    return out
 
 
 def gamma_hat(x: complex, pole_tol: float = POLE_TOL) -> complex:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -318,3 +321,19 @@ class TestExitCodes:
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestModuleEntryPoint:
+    def test_runs_as_main_module_without_runtime_warning(self):
+        # runpy warns (here: fails) when the package has imported the module
+        # it is asked to run as __main__
+        src = str(Path(cli_harness.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "isolab.cli_harness", "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage" in proc.stdout

@@ -19,9 +19,12 @@ from isolab.arrows import PviAsymptoticData, arrow_q
 from isolab.core_linalg import delta_k
 from isolab.cli_harness import SampleSpec, sample_parameters
 from isolab.errors import ConvergenceError, DomainError
+from isolab import pvi_trajectory
 from isolab.pvi_trajectory import (
     PuiseuxSeries,
+    _basis_series,
     _check_cancellation,
+    _residual_series,
     _solve_lattice_series,
     correction_powers,
     extend_trajectory,
@@ -337,6 +340,52 @@ class TestRhsSeriesConsistency:
         out = pvi_rhs(D_MIXED.thetas)(x0, np.array([y0, yp0, 0.0, 0.0], dtype=complex))
         assert out[0] == yp0
         assert abs(out[1] - ypp0) / abs(ypp0) < 1e-4
+
+
+LATTICE_DRAWS = pytest.mark.parametrize("d", [
+    D_MIXED,
+    # coefficients up to 2e8
+    sample_parameters(SampleSpec(seed=1007, narrow=True), 1),
+], ids=["mixed", "seed1007-narrow1"])
+
+
+class TestLatticeLevels:
+    """What the level-by-level solve relies on: within a level a + b, the
+    residual at base + (a, b) is affine in that key's coefficient alone,
+    with slope E^2, E = a(1 - sigma) + b sigma."""
+
+    BASE = (-1, -2)
+
+    @LATTICE_DRAWS
+    def test_coefficient_moves_only_its_own_key_by_e_squared(self, d):
+        y, lam = _solve_lattice_series(d, 2.2)
+        basis = _basis_series(y.sigma, y.cap)
+        res = _residual_series(y, d.thetas, *basis)
+        delta = 1e-3 * max(abs(v) for v in y.c.values())
+        for a, b in lam:
+            e = a * (1.0 - d.sigma) + b * d.sigma
+            key = (self.BASE[0] + a, self.BASE[1] + b)
+            moved = PuiseuxSeries(y.sigma, y.cap, y.c, valid=y.valid)
+            moved.c[(1 + a, b)] = moved.coeff((1 + a, b)) + delta
+            shift = (_residual_series(moved, d.thetas, *basis).coeff(key)
+                     - res.coeff(key))
+            assert abs(shift - e * e * delta) <= 1e-9 * abs(e * e * delta)
+            others = [self.BASE] + [
+                (self.BASE[0] + a2, self.BASE[1] + b2) for a2, b2 in lam
+                if a2 + b2 <= a + b and (a2, b2) != (a, b)]
+            _check_cancellation(moved, d.thetas, others, basis)
+
+    @LATTICE_DRAWS
+    def test_one_residual_evaluation_per_level(self, d, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _residual_series(*args)
+
+        monkeypatch.setattr(pvi_trajectory, "_residual_series", counted)
+        _, lam = _solve_lattice_series(d, 2.2)
+        assert len(calls) <= len({a + b for a, b in lam}) + 2
 
 
 class TestLatticeCancellation:

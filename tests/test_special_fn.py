@@ -15,7 +15,7 @@ import math
 import mpmath
 import pytest
 
-from isolab.errors import BranchCutError, DomainError, GammaPoleError
+from isolab.errors import BranchCutError, DomainError, GammaPoleError, ScalingError
 from isolab.special_fn import (
     NONNEG_IMAG_CUT,
     PRINCIPAL,
@@ -121,6 +121,22 @@ class TestGammaPoles:
             gamma_c(complex(math.nan, 0.0))
         with pytest.raises(DomainError):
             gamma_c(complex(math.inf, 1.0))
+
+
+class TestGammaRange:
+    """Large arguments: Gamma either fits in a double or raises a typed error."""
+
+    @pytest.mark.parametrize("x", [171.0, 171.5])
+    def test_near_double_max_is_accurate(self, x):
+        # t^(z - 1/2) alone overflows here though Gamma(z) does not
+        got = gamma_c(x)
+        assert got.imag == 0.0
+        assert abs(got.real - math.gamma(x)) <= 1e-12 * math.gamma(x)
+
+    @pytest.mark.parametrize("z", [172.0, -200.5 + 0.1j])
+    def test_out_of_range_raises_scaling_error(self, z):
+        with pytest.raises(ScalingError):
+            gamma_c(z)
 
 
 class TestBranchedLog:
