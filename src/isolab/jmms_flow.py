@@ -177,14 +177,12 @@ def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
     if np.max(np.abs(v)) == 0.0:
         return m0.copy()
     vdiff = v[:, None] - v[None, :]
+    # the identity keeps the diagonal denominators at 1, where vdiff is 0
+    udiff0 = (u0[:, None] - u0[None, :]) + np.eye(n)
 
     def rhs(t, state):
         m = state.reshape(n, n)
-        udiff = (u0[:, None] - u0[None, :]) + t * vdiff
-        w = np.zeros((n, n), dtype=complex)
-        off = ~np.eye(n, dtype=bool)
-        w[off] = vdiff[off] / udiff[off]
-        bw = w * m
+        bw = vdiff / (udiff0 + t * vdiff) * m
         return (bw @ m - m @ bw).ravel()
 
     sol = integrate(rhs, 0.0, 1.0, m0.ravel(), rtol=rtol, atol=atol,
@@ -241,6 +239,9 @@ class ShrinkReport:
     bands: list[float]
     u_final: np.ndarray
     phi_final: np.ndarray
+    nfev: int  # summed over the segment integrations
+    naccept: int
+    nreject: int
 
 
 def _band(phi: np.ndarray) -> float:
@@ -279,7 +280,7 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
         raise DomainError("ray coordinate must be nonzero to scale it outward")
     if reach <= 1.0:
         raise DomainError("reach must exceed 1")
-    direction = uu[k] if ray is None else complex(ray)
+    direction = complex(uu[k] if ray is None else ray)
     if abs(direction) == 0.0:
         raise DomainError("ray direction must be nonzero")
     if (uu[k].conjugate() * direction).real < -1e-12 * abs(uu[k]) * abs(direction):
@@ -294,7 +295,7 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
         b = 2.0 * cross
         c = r0 ** 2 * (1.0 - factor ** 2)
         disc = b * b - 4.0 * a * c
-        return (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
+        return float((-b + math.sqrt(max(disc, 0.0))) / (2.0 * a))
 
     factors = list(np.logspace(0.0, np.log10(reach), n_checkpoints))
     stops = [s_at(f) for f in factors]
@@ -305,28 +306,42 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
         u[k] = uu[k] + s * direction
         return u
 
+    uk0 = complex(uu[k])
+    ddelta = delta[:, None] - delta[None, :]
+
     def rhs(s, state):
         psi = state.reshape(n, n)
-        uk = uu[k] + s * direction
+        uk = uk0 + s * direction
         rate = (uk.conjugate() * direction).real / abs(uk) ** 2
-        b = b_field(u_of(s), psi, k)
+        # B_k as in b_field: c_i = 1/(u_k - u_i) on row and column k, c_k = 0
+        den = uk - uu
+        den[k] = 1.0
+        c = 1.0 / den
+        c[k] = 0.0
+        b = np.zeros((n, n), dtype=complex)
+        b[k] = c * psi[k]
+        b[:, k] = c * psi[:, k]
         comm = b @ psi - psi @ b
-        gauge = (delta[:, None] - delta[None, :]) * psi
-        return (rate * gauge + direction * comm).ravel()
+        return (rate * (ddelta * psi) + direction * comm).ravel()
 
     psi = m.copy()
     bands = [_band(psi)]
+    nfev = naccept = nreject = 0
     for s_a, s_b in zip(stops[:-1], stops[1:]):
         _segment_collision_check(u_of(s_a), u_of(s_b), 1e-9)
         sol = integrate(rhs, s_a, s_b, psi.ravel(), rtol=rtol, atol=atol,
                         max_steps=max_steps)
         psi = sol.y_end.reshape(n, n)
         bands.append(_band(psi))
+        nfev += sol.nfev
+        naccept += sol.naccept
+        nreject += sol.nreject
     # undo the gauge: Phi_ij = Psi_ij * c^(delta_j - delta_i)
     log_c = math.log(abs(uu[k] + stops[-1] * direction) / r0)
     phi_final = psi * np.exp(log_c * (delta[None, :] - delta[:, None]))
     return ShrinkReport(factors=factors, bands=bands, u_final=u_of(stops[-1]),
-                        phi_final=phi_final)
+                        phi_final=phi_final, nfev=nfev, naccept=naccept,
+                        nreject=nreject)
 
 
 def u_cross_ratio(u) -> tuple[complex, complex]:

@@ -1,13 +1,12 @@
 """Adaptive Dormand-Prince 5(4) integration for complex-analytic systems.
 
 The engine integrates y' = f(t, y) with a real parameter t and a complex
-state vector y, using the classic embedded 5(4) pair with FSAL, PI step-size
-control, and the standard quartic dense-output interpolant.  A thin wrapper
-lifts it to piecewise-linear contours in the complex plane: each straight
-segment is parameterised by arclength and integrated with a fresh start at
-every corner, so the right-hand side is only ever evaluated on the contour
-itself (which is what keeps branch tracking honest when continuing solutions
-of linear systems around singular points).
+state vector y, using the classic embedded 5(4) pair with FSAL and PI
+step-size control.  A thin wrapper lifts it to piecewise-linear contours in
+the complex plane: each straight segment is parameterised by arclength and
+integrated with a fresh start at every corner, so the right-hand side is only
+ever evaluated on the contour itself (which is what keeps branch tracking
+honest when continuing solutions of linear systems around singular points).
 
 Failure modes are explicit: a step size collapsing below 1e-13 of the
 segment length raises :class:`SingularityError` (the trajectory is running
@@ -16,7 +15,7 @@ into a pole), and exceeding the step budget raises :class:`BudgetError`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,37 +24,23 @@ from .errors import BudgetError, DomainError, SingularityError
 
 __all__ = ["OdeSolution", "ContourResult", "integrate", "integrate_contour"]
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168,
-    -355 / 33,
-    46732 / 5247,
-    49 / 176,
-    -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-# dense-output weights for the quartic interpolant
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075 / 11282082432,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
-)
+# Dormand-Prince 5(4) tableau for stages 1..6 (stage 0 is f at the step's
+# start).  Row i - 1 of _A weighs stages 0..i-1 in the input of stage i; the
+# last row is the fifth-order solution (b_2 = 0), which is also the input of
+# the FSAL stage.  The rows are complex so that the products with the stages
+# need no cast; the nodes stay Python floats, so f sees a Python float t.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = tuple(np.array(row, dtype=complex) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+# fifth- minus fourth-order weights: the embedded error estimate
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40], dtype=complex)
 
 _SAFETY = 0.9
 _FACMIN = 0.2
@@ -68,45 +53,11 @@ _HMIN_FRACTION = 1e-13
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
                 rtol: float, atol: float) -> float:
     """RMS norm of the embedded error, real and imaginary parts weighted separately."""
-    e = np.concatenate([err.real, err.imag])
-    s0 = np.concatenate([np.abs(y0.real), np.abs(y0.imag)])
-    s1 = np.concatenate([np.abs(y1.real), np.abs(y1.imag)])
-    sk = atol + rtol * np.maximum(s0, s1)
-    return float(np.sqrt(np.mean(np.square(e / sk))))
-
-
-class _DenseSegments:
-    """Accepted-step interpolants: evaluate the solution anywhere in the span."""
-
-    def __init__(self) -> None:
-        self.ts: list[float] = []  # left endpoints of accepted steps
-        self.hs: list[float] = []
-        self.rcont: list[tuple[np.ndarray, ...]] = []
-
-    def push(self, t_old: float, h: float, rc: tuple[np.ndarray, ...]) -> None:
-        self.ts.append(t_old)
-        self.hs.append(h)
-        self.rcont.append(rc)
-
-    def __call__(self, t: float) -> np.ndarray:
-        if not self.ts:
-            raise DomainError("dense output requested from an empty solution")
-        lo = self.ts[0]
-        hi = self.ts[-1] + self.hs[-1]
-        a, b = (lo, hi) if lo <= hi else (hi, lo)
-        pad = 1e-10 * (abs(self.hs[0]) + abs(self.hs[-1]))
-        if not a - pad <= t <= b + pad:
-            raise DomainError(f"dense output query t={t} outside integrated span [{a}, {b}]")
-        if self.hs[0] > 0:
-            idx = bisect_right(self.ts, t) - 1
-        else:
-            idx = len(self.ts) - bisect_right(list(reversed(self.ts)), t)
-        idx = min(max(idx, 0), len(self.ts) - 1)
-        t0, h = self.ts[idx], self.hs[idx]
-        r1, r2, r3, r4, r5 = self.rcont[idx]
-        th = (t - t0) / h
-        th1 = 1.0 - th
-        return r1 + th * (r2 + th1 * (r3 + th * (r4 + th1 * r5)))
+    sk = np.maximum(np.abs(y0.view(float)), np.abs(y1.view(float)))
+    sk *= rtol
+    sk += atol
+    r = err.view(float) / sk
+    return math.sqrt(np.dot(r, r) / r.size)
 
 
 @dataclass
@@ -119,12 +70,6 @@ class OdeSolution:
     nfev: int
     naccept: int
     nreject: int
-    dense: _DenseSegments | None = None
-
-    def __call__(self, t: float) -> np.ndarray:
-        if self.dense is None:
-            raise DomainError("solution was computed without dense output")
-        return self.dense(t)
 
 
 def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray, direction: float,
@@ -151,7 +96,6 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_steps: int = 500_000,
-    dense: bool = False,
     fixed_step: float | None = None,
 ) -> OdeSolution:
     """Integrate y' = f(t, y) from t0 to t1 (t real, y complex vector).
@@ -164,26 +108,25 @@ def integrate(
         raise DomainError("state must be a one-dimensional complex vector")
     span = abs(t1 - t0)
     if span == 0:
-        return OdeSolution(t0, t1, y, 0, 0, 0, _DenseSegments() if dense else None)
+        return OdeSolution(t0, t1, y, 0, 0, 0)
     direction = 1.0 if t1 > t0 else -1.0
     hmin = _HMIN_FRACTION * span
 
-    k1 = f(t0, y)
-    k1 = np.asarray(k1, dtype=complex)
+    k = np.empty((7, y.shape[0]), dtype=complex)  # the stages of one step
+    k[0] = f(t0, y)
     nfev = 1
     if fixed_step is not None:
         if fixed_step <= 0:
             raise DomainError("fixed_step must be positive")
         h = float(fixed_step)
     else:
-        h, extra = _initial_step(f, t0, y, k1, direction, span, rtol, atol)
+        h, extra = _initial_step(f, t0, y, k[0], direction, span, rtol, atol)
         nfev += extra
 
     t = t0
     naccept = nreject = 0
     errold = 1e-4
     facmax = _FACMAX
-    segments = _DenseSegments() if dense else None
 
     while (t1 - t) * direction > 0:
         if naccept + nreject >= max_steps:
@@ -199,45 +142,16 @@ def integrate(
             h = abs(t1 - t)
         hd = h * direction
 
-        k2 = f(t + _C2 * hd, y + hd * (_A21 * k1))
-        k3 = f(t + _C3 * hd, y + hd * (_A31 * k1 + _A32 * k2))
-        k4 = f(t + _C4 * hd, y + hd * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(t + _C5 * hd, y + hd * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(
-            t + hd,
-            y + hd * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-        )
-        y_new = y + hd * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = f(t + hd, y_new)
+        for i in range(1, 7):
+            y_new = y + hd * (_A[i - 1] @ k[:i])
+            k[i] = f(t + _C[i - 1] * hd, y_new)
         nfev += 6
-        err_vec = hd * (
-            _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-        )
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
+        err = _error_norm(hd * (_E @ k), y, y_new, rtol, atol)
 
         if fixed_step is not None or err <= 1.0:
-            if segments is not None:
-                ydiff = y_new - y
-                bspl = hd * k1 - ydiff
-                rc = (
-                    y.copy(),
-                    ydiff,
-                    bspl,
-                    ydiff - hd * k7 - bspl,
-                    hd
-                    * (
-                        _D1 * k1
-                        + _D3 * k3
-                        + _D4 * k4
-                        + _D5 * k5
-                        + _D6 * k6
-                        + _D7 * k7
-                    ),
-                )
-                segments.push(t, hd, rc)
             t = t1 if abs(t1 - (t + hd)) < 1e-14 * span else t + hd
             y = y_new
-            k1 = k7  # FSAL
+            k[0] = k[6]  # FSAL
             naccept += 1
             if fixed_step is None:
                 err = max(err, 1e-30)
@@ -251,7 +165,7 @@ def integrate(
             h *= min(1.0, max(_FACMIN, fac))
             facmax = 1.0
 
-    return OdeSolution(t0, t1, y, nfev, naccept, nreject, segments)
+    return OdeSolution(t0, t1, y, nfev, naccept, nreject)
 
 
 @dataclass

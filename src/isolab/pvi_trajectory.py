@@ -269,7 +269,7 @@ def pvi_rhs(thetas: tuple[complex, complex, complex, complex]):
     t1, t2, t3, ti = (complex(t) for t in thetas)
 
     def rhs(x, state):
-        y, yp = state[0], state[1]
+        y, yp = complex(state[0]), complex(state[1])
         ym1 = y - 1.0
         ymx = y - x
         xm1 = x - 1.0

@@ -2,9 +2,9 @@
 
 Order and accuracy are certified against closed-form solutions (matrix
 exponentials, elementary ODEs) rather than against another library: halving
-a fixed step must shrink the error by ~2^5, dense output must hold at least
-fourth order, and a complex contour around the origin must pick up the
-correct logarithm branch.
+a fixed step must shrink the error by ~2^5, and a complex contour around the
+origin must pick up the correct logarithm branch.  The error norm is checked
+against its definition, and the step controller's work counts are pinned.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from isolab.errors import BudgetError, DomainError, SingularityError
-from isolab.ode_engine import integrate, integrate_contour
+from isolab.ode_engine import _error_norm, integrate, integrate_contour
 
 
 def linear_rhs(a: np.ndarray):
@@ -65,31 +65,49 @@ class TestOrder:
         ratio = e1 / e2
         assert 20.0 < ratio < 50.0
 
-    def test_dense_output_order_at_least_four(self):
-        def exact(t):
-            return math.exp(math.sin(t))
 
-        errs = []
-        for h in (0.05, 0.025):
-            sol = integrate(lambda t, y: y * math.cos(t), 0.0, 2.0,
-                            np.array([1.0 + 0j]), fixed_step=h, dense=True)
-            worst = max(abs(sol(t)[0] - exact(t))
-                        for t in np.linspace(0.01, 1.99, 113))
-            errs.append(worst)
-        order = math.log2(errs[0] / errs[1])
-        assert order > 3.8
+class TestErrorNorm:
+    def test_matches_definition(self):
+        # RMS over the 2n real and imaginary parts, each weighted by
+        # atol + rtol * max(|y0 part|, |y1 part|)
+        rng = np.random.default_rng(7)
+        n = 40
 
-    def test_dense_output_matches_endpoint(self):
-        a = np.array([[0.1j, 1.0], [0.0, -0.2]], dtype=complex)
-        y0 = np.array([1.0, 1.0], dtype=complex)
-        sol = integrate(linear_rhs(a), 0.0, 1.5, y0, rtol=1e-12, atol=1e-14,
-                        dense=True)
-        np.testing.assert_allclose(sol(1.5), sol.y_end, rtol=1e-12)
-        mid = sol(0.7)
-        ref = expm_oracle(a, 0.7) @ y0
-        np.testing.assert_allclose(mid, ref, rtol=1e-9, atol=1e-10)
-        with pytest.raises(DomainError):
-            sol(2.0)
+        def draw():
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            v[:5] = 0.0
+            v[5:10] = rng.normal(size=5) * 1e8 + 1j * rng.normal(size=5) * 1e-8
+            v[10:13] = 1j * rng.normal(size=3)
+            return v
+
+        for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-14), (1e-12, 1e-3)):
+            err, y0, y1 = draw() * 1e-9, draw(), draw()
+            parts = [np.concatenate([v.real, v.imag]) for v in (err, y0, y1)]
+            sk = atol + rtol * np.maximum(np.abs(parts[1]), np.abs(parts[2]))
+            ref = math.sqrt(np.mean((parts[0] / sk) ** 2))
+            got = _error_norm(err, y0, y1, rtol, atol)
+            assert abs(got - ref) <= 1e-14 * ref
+
+
+class TestControllerPinned:
+    """Exact (nfev, naccept, nreject): the step sequence is the controller's."""
+
+    def test_linear_system(self):
+        rng = np.random.default_rng(61)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        y0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        sol = integrate(linear_rhs(a), 0.0, 2.0, y0, rtol=1e-12, atol=1e-14)
+        assert (sol.nfev, sol.naccept, sol.nreject) == (4142, 690, 0)
+
+    def test_nonlinear(self):
+        sol = integrate(lambda t, y: y * y + t, 0.0, 1.0,
+                        np.array([0.5 + 0.1j]))
+        assert (sol.nfev, sol.naccept, sol.nreject) == (452, 75, 0)
+
+    def test_with_rejected_steps(self):
+        sol = integrate(lambda t, y: np.sin(20.0 * t) * y, 0.0, 3.0,
+                        np.array([1.0 + 0j]))
+        assert (sol.nfev, sol.naccept, sol.nreject) == (2450, 405, 3)
 
 
 class TestFailureModes:
