@@ -17,7 +17,8 @@ with C = diag(c).  Both forms are implemented independently and the test
 suite drives their equality at machine tolerance; the flow itself uses the
 equivalent directional form dPhi/dt = [W o Phi, Phi] along a straight
 segment u(t) = u0 + t v, where (W)_ij = (v_i - v_j)/(u_i - u_j) and o is the
-entrywise product (diagonal zero).
+entrywise product (diagonal zero).  Both integrated right-hand sides are
+evaluated entrywise, in forms free of cancellation between large products.
 
 The flow preserves the diagonal of Phi and its spectrum; drift in either is
 the integration-quality metric.  ``shrinking_check`` pushes one coordinate
@@ -160,6 +161,28 @@ def _segment_collision_check(u0: np.ndarray, u1: np.ndarray, tol: float) -> None
                 )
 
 
+def _flow_rhs(u0: np.ndarray, v: np.ndarray):
+    """dPhi/dt = [W o Phi, Phi] along u(t) = u0 + t v, flattened.
+
+    Entry (i, l) is sum_j phi_ij phi_jl (W_ij - W_jl).  W is bitwise
+    symmetric (both its numerator and denominator flip sign exactly), so
+    every term of a diagonal entry is exactly 0 and the flow keeps the
+    diagonal of Phi to the last bit.
+    """
+    n = u0.shape[0]
+    vdiff = v[:, None] - v[None, :]
+    # the identity keeps the diagonal denominators at 1, where vdiff is 0
+    udiff0 = (u0[:, None] - u0[None, :]) + np.eye(n)
+
+    def rhs(t, state):
+        m = state.reshape(n, n)
+        w = vdiff / (udiff0 + t * vdiff)
+        terms = (m[:, :, None] * m[None, :, :]) * (w[:, :, None] - w[None, :, :])
+        return terms.sum(axis=1).ravel()
+
+    return rhs
+
+
 def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
          max_steps: int = 500_000, collision_tol: float = 1e-9) -> np.ndarray:
     """Transport Phi along the straight segment from u_start to u_end.
@@ -172,22 +195,13 @@ def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
     if u1.shape != u0.shape:
         raise DomainError("u_end must have the same length as u_start")
     _segment_collision_check(u0, u1, collision_tol)
-    n = u0.shape[0]
     v = u1 - u0
     if np.max(np.abs(v)) == 0.0:
         return m0.copy()
-    vdiff = v[:, None] - v[None, :]
-    # the identity keeps the diagonal denominators at 1, where vdiff is 0
-    udiff0 = (u0[:, None] - u0[None, :]) + np.eye(n)
-
-    def rhs(t, state):
-        m = state.reshape(n, n)
-        bw = vdiff / (udiff0 + t * vdiff) * m
-        return (bw @ m - m @ bw).ravel()
-
+    rhs = _flow_rhs(u0, v)
     sol = integrate(rhs, 0.0, 1.0, m0.ravel(), rtol=rtol, atol=atol,
                     max_steps=max_steps)
-    return sol.y_end.reshape(n, n)
+    return sol.y_end.reshape(m0.shape)
 
 
 def flow_path(points, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
@@ -253,6 +267,40 @@ def _band(phi: np.ndarray) -> float:
     return float(max(abs((a - b).real) for a in lam for b in lam))
 
 
+def _shrink_rhs(uu: np.ndarray, k: int, direction: complex, delta: np.ndarray):
+    """dPsi/ds of ``shrinking_check``'s co-moving gauge, flattened.
+
+    u_k(s) = u_k + s * direction; the gauge term is rate (delta_i - delta_j)
+    psi_ij with rate = d log|u_k(s)| / ds, and [B_k, Psi] is taken in the
+    entrywise form of the module docstring.  Off row and column k it is
+    (u_i - u_j) c_i c_j psi_ik psi_kj, by c_i - c_j = (u_i - u_j) c_i c_j,
+    so the two large products c_i psi psi and c_j psi psi never cancel.
+    """
+    n = uu.shape[0]
+    uk0 = complex(uu[k])
+    ddelta = delta[:, None] - delta[None, :]
+    udiff = uu[:, None] - uu[None, :]
+
+    def rhs(s, state):
+        psi = state.reshape(n, n)
+        uk = uk0 + s * direction
+        rate = (uk.conjugate() * direction).real / abs(uk) ** 2
+        # c_i = 1/(u_k - u_i), c_k = 0
+        den = uk - uu
+        den[k] = 1.0
+        c = 1.0 / den
+        c[k] = 0.0
+        c_col = c * psi[:, k]
+        c_row = c * psi[k]
+        comm = udiff * (c_col[:, None] * c_row[None, :])
+        comm[:, k] = psi[k, k] * c_col - psi @ c_col
+        comm[k] = c_row @ psi - psi[k, k] * c_row
+        comm[k, k] = 0.0
+        return (rate * (ddelta * psi) + direction * comm).ravel()
+
+    return rhs
+
+
 def shrinking_check(u0, phi0, ray: complex | None = None, *,
                     reach: float = 1e8, n_checkpoints: int = 15,
                     coord: int = -1, rtol: float = 1e-12, atol: float = 1e-14,
@@ -306,24 +354,7 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
         u[k] = uu[k] + s * direction
         return u
 
-    uk0 = complex(uu[k])
-    ddelta = delta[:, None] - delta[None, :]
-
-    def rhs(s, state):
-        psi = state.reshape(n, n)
-        uk = uk0 + s * direction
-        rate = (uk.conjugate() * direction).real / abs(uk) ** 2
-        # B_k as in b_field: c_i = 1/(u_k - u_i) on row and column k, c_k = 0
-        den = uk - uu
-        den[k] = 1.0
-        c = 1.0 / den
-        c[k] = 0.0
-        b = np.zeros((n, n), dtype=complex)
-        b[k] = c * psi[k]
-        b[:, k] = c * psi[:, k]
-        comm = b @ psi - psi @ b
-        return (rate * (ddelta * psi) + direction * comm).ravel()
-
+    rhs = _shrink_rhs(uu, k, direction, delta)
     psi = m.copy()
     bands = [_band(psi)]
     nfev = naccept = nreject = 0

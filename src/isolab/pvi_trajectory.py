@@ -40,7 +40,7 @@ import numpy as np
 from .arrows import PviAsymptoticData, arrow_q, validate_generic
 from .core_linalg import delta_k, matrix_power_scalar
 from .errors import ConvergenceError, DomainError, ScalingError
-from .ode_engine import integrate_contour
+from .ode_engine import integrate
 
 __all__ = [
     "PuiseuxSeries",
@@ -590,19 +590,22 @@ def extend_trajectory(thetas: tuple[complex, complex, complex, complex],
     if targets[0] < seed.x0 * (1.0 - 1e-12):
         raise DomainError("extend_trajectory integrates upward: targets must be >= x0")
     rhs = pvi_rhs(thetas)
-    state0 = np.array([seed.y, seed.yp, seed.w1, seed.w2], dtype=complex)
-    vertices = [seed.x0] + targets
-    res = integrate_contour(rhs, vertices, state0, rtol=rtol, atol=atol, record=True)
+    state = np.array([seed.y, seed.yp, seed.w1, seed.w2], dtype=complex)
+    xa = seed.x0
+    budget = 2_000_000  # steps, shared by all segments
     points: list[TrajectoryPoint] = []
-    for xv, st in zip(vertices[1:], res.y_at_vertices[1:]):
-        for w in (st[2], st[3]):
+    for xv in targets:
+        sol = integrate(rhs, xa, xv, state, rtol=rtol, atol=atol, max_steps=budget)
+        state, xa = sol.y_end, xv
+        budget -= sol.naccept + sol.nreject
+        for w in (state[2], state[3]):
             if abs(w.real) > _W_LIMIT:
                 raise ScalingError(
                     f"gauge accumulator Re(w) = {w.real} exceeds the exp() range "
                     f"at x = {xv}; renormalise the gauge"
                 )
-        points.append(TrajectoryPoint(x=xv, y=complex(st[0]), yp=complex(st[1]),
-                                      k1=cmath.exp(st[2]), k2=cmath.exp(st[3])))
+        points.append(TrajectoryPoint(x=xv, y=complex(state[0]), yp=complex(state[1]),
+                                      k1=cmath.exp(state[2]), k2=cmath.exp(state[3])))
     return points
 
 

@@ -32,7 +32,7 @@ from isolab.jmms_flow import (
     spectral_drift,
     u_cross_ratio,
 )
-from isolab.jmms_flow import _band
+from isolab.jmms_flow import _band, _flow_rhs, _shrink_rhs
 from isolab.ode_engine import integrate
 
 
@@ -86,6 +86,44 @@ class TestRightHandSides:
         m = random_state(rng)
         for k in range(3):
             assert np.max(np.abs(np.diag(jmms_rhs(u, m, k)))) == 0.0
+
+    def test_flow_rhs_matches_commutator_with_exact_diagonal(self):
+        # the entrywise sum_j phi_ij phi_jl (W_ij - W_jl) is [W o Phi, Phi]
+        rng = np.random.default_rng(76)
+        for n in (3, 4):
+            for _ in range(100):
+                u0 = random_u(rng, n)
+                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                m = random_state(rng, n)
+                t = float(rng.uniform(0.0, 0.3))
+                got = _flow_rhs(u0, v)(t, m.ravel()).reshape(n, n)
+                w = (v[:, None] - v[None, :]) / (u0[:, None] - u0[None, :] + np.eye(n)
+                                                 + t * (v[:, None] - v[None, :]))
+                bw = w * m
+                want = bw @ m - m @ bw
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                assert np.all(np.diag(got) == 0)
+
+    def test_shrink_rhs_matches_commutator_plus_gauge(self):
+        # the entrywise [B_k, Psi] plus the co-moving gauge term
+        rng = np.random.default_rng(77)
+        for n in (3, 4):
+            for _ in range(100):
+                uu = random_u(rng, n)
+                k = int(rng.integers(0, n))
+                direction = complex(uu[k]) * complex(rng.uniform(0.5, 2.0),
+                                                     rng.uniform(-0.5, 0.5))
+                delta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                psi = random_state(rng, n)
+                s = float(rng.uniform(0.0, 5.0))
+                got = _shrink_rhs(uu, k, direction, delta)(s, psi.ravel()).reshape(n, n)
+                u = uu.copy()
+                u[k] = uu[k] + s * direction
+                b = b_field(u, psi, k)
+                rate = (u[k].conjugate() * direction).real / abs(u[k]) ** 2
+                want = (rate * (delta[:, None] - delta[None, :]) * psi
+                        + direction * (b @ psi - psi @ b))
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_coordinate_index_validated(self):
         rng = np.random.default_rng(75)
@@ -249,6 +287,16 @@ class TestShrinkingCheck:
         rep = shrinking_check(u0, phi, reach=1e4, n_checkpoints=5)
         assert len(seen) == 4
         assert (rep.nfev, rep.naccept, rep.nreject) == tuple(map(sum, zip(*seen)))
+
+    def test_criterion_8_ray_is_not_noise_limited(self):
+        # criterion 8's index-200 draw grows psi entries to ~7e4 by reach
+        # 1e10; a right-hand side that cancels c_i psi psi - c_j psi psi there
+        # feeds rounding noise to the error estimate and multiplies the steps
+        from isolab.cli_harness import U_BASE, SampleSpec, bridged_phi_at_u0, shrink_sample
+
+        d, _ = shrink_sample(SampleSpec(narrow=True), 200)
+        rep = shrinking_check(U_BASE, bridged_phi_at_u0(d), reach=1e10)
+        assert rep.naccept < 1000
 
     def test_invalid_rays_rejected(self):
         phi = np.diag([0.1, 0.2, 0.3]).astype(complex)
