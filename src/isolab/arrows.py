@@ -59,13 +59,9 @@ __all__ = [
     "arrow_g_direct",
     "arrow_p",
     "arrow_f",
-    "stokes_diag",
-    "stokes_upper_entry",
-    "stokes_lower_entry",
     "p23_p13_closed_form",
     "trace_identity_residual",
     "cubic_residual",
-    "wrap_pair",
     "pvi_data_to_json",
     "pvi_data_from_json",
     "monodromy_to_json",
@@ -378,95 +374,44 @@ def _gamma(z: complex, what: str) -> complex:
 
 
 def _block_spectra(phi: np.ndarray) -> list[list[complex]]:
-    """Ordered eigenvalue lists of the leading k x k blocks, k = 1..n."""
-    n = phi.shape[0]
-    out: list[list[complex]] = []
-    for k in range(1, n + 1):
-        if k == 1:
-            out.append([complex(phi[0, 0])])
-        elif k == 2:
-            p = eigen2(phi[:2, :2])
-            out.append([p.lambda1, p.lambda2])
-        elif k == 3:
-            out.append(list(eigen3(phi[:3, :3]).values))
+    """Ordered eigenvalue lists of the leading k x k blocks, k = 1, 2, 3."""
+    p = eigen2(phi[:2, :2])
+    return [[complex(phi[0, 0])], [p.lambda1, p.lambda2], list(eigen3(phi).values)]
+
+
+def _stokes_entry(m: np.ndarray, sp: list[list[complex]], k: int, lower: bool) -> complex:
+    """(S+)_{k,k+1}, or (S-)_{k+1,k} when ``lower``, for k = 1, 2 (1-based).
+
+    One Gamma-product term per eigenvalue li of the leading k x k block.  S+
+    takes the minor of li*Id - Phi0 on rows 1..k and columns 1..k-1,k+1; S-
+    reverses every eigenvalue difference and takes the transposed minor of
+    Phi0 - li*Id.
+    """
+    lam_k = sp[k - 1]
+    others = sp[k] + (sp[k - 2] if k >= 2 else [])
+    near = tuple(range(k))
+    far = tuple(range(k - 1)) + (k,)
+    eye = np.eye(3, dtype=complex)
+    if lower:
+        pref = -2j * pi * cmath.exp(-1j * pi * m[k, k])
+    else:
+        pref = 2j * pi * cmath.exp(-1j * pi * m[k - 1, k - 1])
+    total = 0.0 + 0.0j
+    for i, li in enumerate(lam_k):
+        num = 1.0 + 0.0j
+        den = 1.0 + 0.0j
+        for l, ll in enumerate(lam_k):
+            if l != i:
+                a, b = (ll, li) if lower else (li, ll)
+                num *= _gamma(1 + a - b, "arrow_g")
+                num *= _gamma(a - b, "arrow_g")
+        for ll in others:
+            a, b = (ll, li) if lower else (li, ll)
+            den *= _gamma(1 + a - b, "arrow_g")
+        if lower:
+            mnr = minor(m - li * eye, far, near)
         else:
-            vals = np.linalg.eigvals(phi[:k, :k])
-            out.append(sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag)))
-    return out
-
-
-def stokes_diag(phi0) -> np.ndarray:
-    """Shared diagonal of S+ and S-: exp(-i pi phi_kk)."""
-    m = as_matrix(phi0)
-    return np.exp(-1j * pi * np.diag(m))
-
-
-def stokes_upper_entry(phi0, k: int, spectra: list[list[complex]] | None = None) -> complex:
-    """(S+)_{k,k+1} for 1 <= k <= n-1 (1-based indices), any matrix size.
-
-    One Gamma-product term per eigenvalue of the leading k x k block; the
-    minor selects rows 1..k and columns 1..k-1,k+1 of lambda*Id - Phi0.
-    """
-    m = as_matrix(phi0)
-    n = m.shape[0]
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"stokes_upper_entry: k={k} outside [1, {n - 1}]")
-    sp = spectra if spectra is not None else _block_spectra(m)
-    lam_k = sp[k - 1]
-    lam_up = sp[k]
-    lam_dn = sp[k - 2] if k >= 2 else []
-    rows = tuple(range(k))
-    cols = tuple(range(k - 1)) + (k,)
-    pref = 2j * pi * cmath.exp(-1j * pi * m[k - 1, k - 1])
-    total = 0.0 + 0.0j
-    eye = np.eye(n, dtype=complex)
-    for i, li in enumerate(lam_k):
-        num = 1.0 + 0.0j
-        for l, ll in enumerate(lam_k):
-            if l != i:
-                num *= _gamma(1 + li - ll, "stokes_upper_entry")
-                num *= _gamma(li - ll, "stokes_upper_entry")
-        den = 1.0 + 0.0j
-        for ll in lam_up:
-            den *= _gamma(1 + li - ll, "stokes_upper_entry")
-        for ll in lam_dn:
-            den *= _gamma(1 + li - ll, "stokes_upper_entry")
-        mnr = minor(li * eye - m, rows, cols)
-        total += num / den * mnr
-    return pref * total
-
-
-def stokes_lower_entry(phi0, k: int, spectra: list[list[complex]] | None = None) -> complex:
-    """(S-)_{k+1,k} for 1 <= k <= n-1 (1-based indices), any matrix size.
-
-    Mirror of :func:`stokes_upper_entry` with reversed eigenvalue differences
-    and the transposed minor (rows 1..k-1,k+1; columns 1..k).
-    """
-    m = as_matrix(phi0)
-    n = m.shape[0]
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"stokes_lower_entry: k={k} outside [1, {n - 1}]")
-    sp = spectra if spectra is not None else _block_spectra(m)
-    lam_k = sp[k - 1]
-    lam_up = sp[k]
-    lam_dn = sp[k - 2] if k >= 2 else []
-    rows = tuple(range(k - 1)) + (k,)
-    cols = tuple(range(k))
-    pref = -2j * pi * cmath.exp(-1j * pi * m[k, k])
-    total = 0.0 + 0.0j
-    eye = np.eye(n, dtype=complex)
-    for i, li in enumerate(lam_k):
-        num = 1.0 + 0.0j
-        for l, ll in enumerate(lam_k):
-            if l != i:
-                num *= _gamma(1 + ll - li, "stokes_lower_entry")
-                num *= _gamma(ll - li, "stokes_lower_entry")
-        den = 1.0 + 0.0j
-        for ll in lam_up:
-            den *= _gamma(1 + ll - li, "stokes_lower_entry")
-        for ll in lam_dn:
-            den *= _gamma(1 + ll - li, "stokes_lower_entry")
-        mnr = minor(m - li * eye, rows, cols)
+            mnr = minor(li * eye - m, near, far)
         total += num / den * mnr
     return pref * total
 
@@ -525,13 +470,13 @@ def arrow_g(b: BoundaryValue | np.ndarray) -> StokesPair:
             "arrow_g: Re of the upper-block eigenvalue difference must lie in (-1, 1), "
             f"got {(sp[1][0] - sp[1][1]).real}"
         )
-    diag = stokes_diag(m)
+    diag = np.exp(-1j * pi * np.diag(m))
     s_plus = np.diag(diag)
     s_minus = np.diag(diag)
-    s_plus[0, 1] = stokes_upper_entry(m, 1, sp)
-    s_plus[1, 2] = stokes_upper_entry(m, 2, sp)
-    s_minus[1, 0] = stokes_lower_entry(m, 1, sp)
-    s_minus[2, 1] = stokes_lower_entry(m, 2, sp)
+    s_plus[0, 1] = _stokes_entry(m, sp, 1, lower=False)
+    s_plus[1, 2] = _stokes_entry(m, sp, 2, lower=False)
+    s_minus[1, 0] = _stokes_entry(m, sp, 1, lower=True)
+    s_minus[2, 1] = _stokes_entry(m, sp, 2, lower=True)
     c13, c31 = _corner_entries(m, sp)
     s_plus[0, 2] = c13
     s_minus[2, 0] = c31
@@ -859,23 +804,6 @@ def cubic_residual(m: MonodromyData) -> complex:
         + p1 * p2 * p3 * pi_
         - 4
     )
-
-
-def wrap_pair(
-    s: StokesPair, thetas: tuple[complex, complex, complex, complex]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The wrapped pair (S1, S2) = (e^{i pi dPhi} S+, S- e^{i pi dPhi}).
-
-    ``dPhi`` is diag(-theta1, -theta2, -theta3).  Convention note: the
-    once-wrapped matrices absorb the formal monodromy on the left for S+
-    and on the right for S-; this is the normalisation under which
-    S2 S1 is the total counterclockwise monodromy around the origin.
-    """
-    t1, t2, t3 = (complex(t) for t in thetas[:3])
-    e = np.exp(1j * pi * np.array([-t1, -t2, -t3], dtype=complex))
-    s1 = np.diag(e) @ as_matrix(s.s_plus, 3)
-    s2 = as_matrix(s.s_minus, 3) @ np.diag(e)
-    return s1, s2
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,8 @@ Subcommands:
 
 Reports are byte-stable across reruns: keys are sorted, floats are emitted
 natively, and no timestamps or host data are recorded.  Sampling is
-deterministic per (seed, index), so results do not depend on the number of
-worker threads (``--threads`` or the ISOLAB_THREADS variable).
+deterministic per (seed, index), so a draw does not depend on how many
+others are drawn.
 
 Exit codes: 0 all checks passed; 1 a computation failed or a tolerance was
 exceeded; 2 usage, configuration, or input-format error.
@@ -30,9 +30,7 @@ import cmath
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,28 +144,6 @@ def sample_parameters(spec: SampleSpec, index: int) -> PviAsymptoticData:
 # report plumbing
 
 
-def _thread_count(args) -> int:
-    t = getattr(args, "threads", None)
-    if t is not None:
-        if t < 1:
-            raise ConfigError("--threads must be at least 1")
-        return t
-    env = os.environ.get("ISOLAB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"ISOLAB_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
-def _map_indices(fn, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
@@ -210,7 +186,7 @@ def cmd_roundtrip(args) -> int:
             "trace_closed_form_err": max(abs(m.p23 - p23c), abs(m.p13 - p13c)),
         }
 
-    results = _map_indices(work, args.samples, _thread_count(args))
+    results = [work(i) for i in range(args.samples)]
     tol = {
         "roundtrip": args.tol_roundtrip,
         "cubic": args.tol_cubic,
@@ -359,7 +335,7 @@ def cmd_stokes(args) -> int:
             "tail_bound": num.tail_bound,
         }
 
-    results = _map_indices(work, args.samples, _thread_count(args))
+    results = [work(i) for i in range(args.samples)]
     for r in results:
         r["pass"] = bool(r["entrywise_err"] < args.tol)
     failures = sum(not r["pass"] for r in results)
@@ -463,9 +439,8 @@ def cmd_jmms(args) -> int:
             "band_err": band_err,
         }
 
-    results = _map_indices(work, args.samples, _thread_count(args))
-    shrinks = _map_indices(shrink_work, args.shrink_samples,
-                           _thread_count(args))
+    results = [work(i) for i in range(args.samples)]
+    shrinks = [shrink_work(i) for i in range(args.shrink_samples)]
     for r in results:
         r["pass"] = bool(
             r["equivalence"] < args.tol_equiv
@@ -536,8 +511,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=2026, help="sampler seed")
     p.add_argument("--margin", type=float, default=0.02,
                    help="genericity margin enforced by the sampler")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: ISOLAB_THREADS or 1)")
     p.add_argument("--out", type=str, default=None,
                    help="directory for JSON/CSV reports")
 

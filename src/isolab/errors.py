@@ -33,10 +33,6 @@ class GammaPoleError(DomainError):
         self.nearest_pole = nearest_pole
 
 
-class BranchCutError(DomainError):
-    """Argument lies on the branch cut of the requested logarithm branch."""
-
-
 class DisambiguationError(DomainError):
     """A discrete reconstruction choice could not be resolved uniquely."""
 
@@ -76,4 +72,4 @@ class ConvergenceError(IsolabError):
 
 
 class ConfigError(IsolabError):
-    """Invalid run configuration (CLI flags, environment variables)."""
+    """Invalid run configuration (CLI flags, sampler settings)."""

@@ -49,7 +49,6 @@ __all__ = [
     "flow_path",
     "ShrinkReport",
     "shrinking_check",
-    "u_cross_ratio",
     "phi_from_omega",
     "diag_drift",
     "spectral_drift",
@@ -373,17 +372,6 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
     return ShrinkReport(factors=factors, bands=bands, u_final=u_of(stops[-1]),
                         phi_final=phi_final, nfev=nfev, naccept=naccept,
                         nreject=nreject)
-
-
-def u_cross_ratio(u) -> tuple[complex, complex]:
-    """(x, scale) with x = (u2-u1)/(u3-u1) and scale = u3-u1 for a 3-point u."""
-    uu = np.asarray(u, dtype=complex)
-    if uu.shape != (3,):
-        raise DomainError("u must have exactly three coordinates")
-    scale = uu[2] - uu[0]
-    if scale == 0:
-        raise DomainError("u3 = u1: degenerate configuration")
-    return (uu[1] - uu[0]) / scale, scale
 
 
 def phi_from_omega(omega, thetas, scale: complex, sheet: int = 0) -> np.ndarray:

@@ -1,35 +1,19 @@
-"""Complex Gamma function and branch-aware powers.
+"""Complex Gamma function.
 
 The Gamma evaluation is a Lanczos approximation (g = 7, 9 coefficients, the
 classic double-precision set) combined with the reflection formula for
 arguments left of Re z = 1/2.  No external special-function library is used
 at runtime; tests certify the accuracy against a high-precision oracle.
-
-Branch conventions live in :class:`BranchedLog`.  Two branches matter here:
-
-* ``PRINCIPAL``: cut along the negative real axis, arg in (-pi, pi].
-* ``NONNEG_IMAG_CUT``: cut along the nonnegative imaginary axis, arg in
-  (-3*pi/2, pi/2).  The logarithm is real on the positive reals and has
-  imaginary part -pi on the negative reals, matching the sector geometry
-  used by the irregular-singularity frames (continuation is clockwise).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .errors import BranchCutError, DomainError, GammaPoleError, ScalingError
+from .errors import DomainError, GammaPoleError, ScalingError
 
-__all__ = [
-    "BranchedLog",
-    "PRINCIPAL",
-    "NONNEG_IMAG_CUT",
-    "gamma_c",
-    "gamma_hat",
-    "cpow",
-]
+__all__ = ["gamma_c", "gamma_hat"]
 
 # Lanczos coefficients, g = 7, n = 9 (double precision workhorse set).
 _LANCZOS_G = 7.0
@@ -105,35 +89,3 @@ def gamma_hat(x: complex, pole_tol: float = POLE_TOL) -> complex:
     """Gamma(1 + x/2), the half-argument shift that the trace formulas use."""
     return gamma_c(1.0 + complex(x) / 2.0, pole_tol=pole_tol)
 
-
-@dataclass(frozen=True)
-class BranchedLog:
-    """A choice of logarithm branch, identified by the location of its cut."""
-
-    cut: str  # "negative_real" | "nonneg_imag"
-
-    def log(self, z: complex) -> complex:
-        z = complex(z)
-        if z == 0:
-            raise DomainError("log of zero")
-        if self.cut == "negative_real":
-            if z.real < 0 and z.imag == 0:
-                raise BranchCutError(f"log: {z} lies on the negative-real cut")
-            return cmath.log(z)
-        if self.cut == "nonneg_imag":
-            if z.real == 0 and z.imag >= 0:
-                raise BranchCutError(f"log: {z} lies on the nonnegative-imaginary cut")
-            w = cmath.log(z)  # principal: arg in (-pi, pi]
-            if w.imag > cmath.pi / 2:
-                w -= 2j * cmath.pi  # fold the upper-left quadrant to arg in (-3pi/2, -pi]
-            return w
-        raise DomainError(f"unknown branch cut {self.cut!r}")
-
-
-PRINCIPAL = BranchedLog("negative_real")
-NONNEG_IMAG_CUT = BranchedLog("nonneg_imag")
-
-
-def cpow(z: complex, a: complex, branch: BranchedLog = PRINCIPAL) -> complex:
-    """z**a through the chosen logarithm branch."""
-    return cmath.exp(complex(a) * branch.log(z))

@@ -38,7 +38,6 @@ from isolab.arrows import (
     stokes_pair_to_json,
     trace_identity_residual,
     validate_generic,
-    wrap_pair,
 )
 from isolab.core_linalg import diag_conjugate, eigen2
 from isolab.errors import DisambiguationError, DomainError
@@ -286,6 +285,16 @@ class TestArrowG:
         assert_allclose(direct.s_plus, diag_conjugate(base.s_plus, k), rtol=1e-9, atol=1e-12)
         assert_allclose(direct.s_minus, diag_conjugate(base.s_minus, k), rtol=1e-9, atol=1e-12)
 
+    def test_wrapped_pair_is_unimodular(self):
+        # det(e^{i pi dPhi} S+) = det(S- e^{i pi dPhi}) = 1, dPhi = diag(-theta)
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            d = draw(rng)
+            s = arrow_g(arrow_q(d))
+            e = np.diag(np.exp(1j * PI * np.array([-d.theta1, -d.theta2, -d.theta3])))
+            assert abs(np.linalg.det(e @ s.s_plus) - 1) < 1e-12
+            assert abs(np.linalg.det(s.s_minus @ e) - 1) < 1e-12
+
     def test_zero_gauge_rejected(self):
         with pytest.raises(DomainError):
             arrow_g_direct(FIXED, k1=0.0)
@@ -388,32 +397,6 @@ class TestAlgebraicIdentities:
             m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
             sigma, _ = arrow_f(m, d.thetas)
             assert 0.0 <= sigma.real < 1.0
-
-
-class TestWrapPair:
-    """Wrapped Stokes matrices."""
-
-    def test_assembly_and_unimodularity(self):
-        rng = np.random.default_rng(61)
-        for _ in range(10):
-            d = draw(rng)
-            s = arrow_g(arrow_q(d))
-            s1, s2 = wrap_pair(s, d.thetas)
-            e = np.exp(1j * PI * np.array([-d.theta1, -d.theta2, -d.theta3]))
-            assert_allclose(s1, np.diag(e) @ s.s_plus, rtol=0, atol=0)
-            assert_allclose(s2, s.s_minus @ np.diag(e), rtol=0, atol=0)
-            assert abs(np.linalg.det(s1) - 1) < 1e-12
-            assert abs(np.linalg.det(s2) - 1) < 1e-12
-
-    def test_gauge_equivariance(self):
-        d = FIXED
-        k = [1.3 - 0.2j, 0.8 + 0.5j, 1.0]
-        s = arrow_g_direct(d)
-        sk = arrow_g_direct(d, k[0], k[1])
-        w1, w2 = wrap_pair(s, d.thetas)
-        w1k, w2k = wrap_pair(sk, d.thetas)
-        assert_allclose(w1k, diag_conjugate(w1, k), rtol=1e-9, atol=1e-12)
-        assert_allclose(w2k, diag_conjugate(w2, k), rtol=1e-9, atol=1e-12)
 
 
 class TestJsonCodecs:

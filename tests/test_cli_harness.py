@@ -1,15 +1,14 @@
 """End-to-end tests for the command-line harness.
 
 Every subcommand is exercised in-process through ``main`` with a temporary
-output directory, so the tests cover argument parsing, worker dispatch,
-report serialization, and exit-code mapping in one pass.  Heavy subcommands
+output directory, so the tests cover argument parsing, report
+serialization, and exit-code mapping in one pass.  Heavy subcommands
 run with deliberately small sample counts; the full-size configurations are
 exercised by the acceptance suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -105,32 +104,6 @@ class TestShrinkSample:
             shrink_sample(SampleSpec(), 0, min_exponent=0.499999)
 
 
-class TestThreadCount:
-    """Worker-count resolution: flag, then environment, then 1."""
-
-    def make_args(self, threads=None):
-        return argparse.Namespace(threads=threads)
-
-    def test_default_is_single_threaded(self, monkeypatch):
-        monkeypatch.delenv("ISOLAB_THREADS", raising=False)
-        assert cli_harness._thread_count(self.make_args()) == 1
-
-    def test_flag_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("ISOLAB_THREADS", "4")
-        assert cli_harness._thread_count(self.make_args(threads=3)) == 3
-        assert cli_harness._thread_count(self.make_args()) == 4
-
-    def test_nonpositive_flag_rejected(self, monkeypatch):
-        monkeypatch.delenv("ISOLAB_THREADS", raising=False)
-        with pytest.raises(ConfigError, match="threads"):
-            cli_harness._thread_count(self.make_args(threads=0))
-
-    def test_malformed_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("ISOLAB_THREADS", "many")
-        with pytest.raises(ConfigError):
-            cli_harness._thread_count(self.make_args())
-
-
 class TestBridgeConstants:
     """Pinned defaults shared by the stokes and jmms subcommands."""
 
@@ -179,10 +152,8 @@ class TestRoundtripCommand:
         assert csv_lines[0].startswith("index,sigma_err,j_err")
         assert len(csv_lines) == 5
 
-        # Same arguments produce byte-identical reports, and the thread
-        # count must not leak into the output.
-        main(["roundtrip", "--samples", "4", "--threads", "2",
-              "--out", str(out2)])
+        # Same arguments produce byte-identical reports.
+        main(["roundtrip", "--samples", "4", "--out", str(out2)])
         assert (out1 / "roundtrip.json").read_bytes() == \
             (out2 / "roundtrip.json").read_bytes()
 
@@ -307,16 +278,6 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
-
-    def test_bad_thread_flag_exits_2(self, tmp_path):
-        rc = main(["roundtrip", "--samples", "1", "--threads", "0",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-
-    def test_bad_thread_environment_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOLAB_THREADS", "lots")
-        rc = main(["roundtrip", "--samples", "1", "--out", str(tmp_path)])
-        assert rc == 2
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):

@@ -30,7 +30,6 @@ from isolab.jmms_flow import (
     phi_from_omega,
     shrinking_check,
     spectral_drift,
-    u_cross_ratio,
 )
 from isolab.jmms_flow import _band, _flow_rhs, _shrink_rhs
 from isolab.ode_engine import integrate
@@ -350,12 +349,3 @@ class TestBridge:
         factors = np.exp(2j * np.pi * (t[:, None] - t[None, :]))
         assert_allclose(shifted, base * factors, rtol=1e-12)
         assert_allclose(np.diag(shifted), np.diag(base), rtol=1e-14)
-
-    def test_cross_ratio(self):
-        x, scale = u_cross_ratio([1.0, 2.5, 5.0])
-        assert x == pytest.approx(0.375)
-        assert scale == pytest.approx(4.0)
-        with pytest.raises(DomainError):
-            u_cross_ratio([1.0, 2.0])
-        with pytest.raises(DomainError):
-            u_cross_ratio([1.0, 2.0, 1.0])

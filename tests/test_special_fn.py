@@ -1,4 +1,4 @@
-"""Tests for the complex Gamma evaluation and branch-aware powers.
+"""Tests for the complex Gamma evaluation.
 
 Accuracy is certified two ways: against a frozen table of high-precision
 reference values (computed once with mpmath at 40 digits and inlined below)
@@ -15,15 +15,8 @@ import math
 import mpmath
 import pytest
 
-from isolab.errors import BranchCutError, DomainError, GammaPoleError, ScalingError
-from isolab.special_fn import (
-    NONNEG_IMAG_CUT,
-    PRINCIPAL,
-    BranchedLog,
-    cpow,
-    gamma_c,
-    gamma_hat,
-)
+from isolab.errors import DomainError, GammaPoleError, ScalingError
+from isolab.special_fn import gamma_c, gamma_hat
 
 # (argument, Gamma(argument)) computed with mpmath.mp.dps = 40
 FROZEN_GAMMA = [
@@ -137,52 +130,3 @@ class TestGammaRange:
     def test_out_of_range_raises_scaling_error(self, z):
         with pytest.raises(ScalingError):
             gamma_c(z)
-
-
-class TestBranchedLog:
-    def test_principal_matches_cmath(self):
-        for z in (1.0, 2.5j, -3.0 + 0.1j, -3.0 - 0.1j, 0.3 - 2.0j):
-            assert PRINCIPAL.log(z) == cmath.log(z)
-
-    def test_principal_cut_raises(self):
-        with pytest.raises(BranchCutError):
-            PRINCIPAL.log(-2.0)
-        with pytest.raises(DomainError):
-            PRINCIPAL.log(0.0)
-
-    def test_nonneg_imag_branch_geometry(self):
-        # real on the positive axis
-        assert NONNEG_IMAG_CUT.log(2.0) == pytest.approx(math.log(2.0))
-        # arg(-1) = -pi on this branch (clockwise continuation)
-        assert NONNEG_IMAG_CUT.log(-1.0).imag == pytest.approx(-math.pi)
-        # lower half-plane agrees with the principal branch
-        assert NONNEG_IMAG_CUT.log(1.0 - 1.0j) == cmath.log(1.0 - 1.0j)
-        # upper-left quadrant is folded below: arg in (-3pi/2, -pi]
-        w = NONNEG_IMAG_CUT.log(-1.0 + 1.0j)
-        assert -1.5 * math.pi < w.imag <= -math.pi
-        assert cmath.isclose(cmath.exp(w), -1.0 + 1.0j)
-
-    def test_nonneg_imag_cut_raises(self):
-        with pytest.raises(BranchCutError):
-            NONNEG_IMAG_CUT.log(2.0j)
-        with pytest.raises(BranchCutError):
-            NONNEG_IMAG_CUT.log(0.0 + 1e-9j)
-
-    def test_unknown_branch_rejected(self):
-        with pytest.raises(DomainError):
-            BranchedLog("bogus").log(1.0)
-
-
-class TestCpow:
-    def test_matches_exp_log(self):
-        for z in (0.5, 2.0 - 1.0j, -0.3 - 0.4j):
-            for a in (0.5, -1.25 + 0.3j):
-                assert cpow(z, a) == pytest.approx(cmath.exp(a * cmath.log(z)))
-
-    def test_branch_changes_value(self):
-        z = -1.0 + 1.0j
-        a = 0.5 + 0.0j
-        principal = cpow(z, a, PRINCIPAL)
-        folded = cpow(z, a, NONNEG_IMAG_CUT)
-        # the folded branch differs by exp(-2*pi*i*a) on the upper-left quadrant
-        assert folded == pytest.approx(principal * cmath.exp(-2j * cmath.pi * a))
