@@ -7,9 +7,11 @@ its combined fifth- and third-order error estimate and PI step-size
 control.  Every oracle that uses it runs at rtol 1e-11 to 1e-12, where the
 eighth-order pair takes several times fewer steps than a fifth-order one.
 
-Failure modes are explicit: a step size collapsing below 1e-13 of the span
-raises :class:`SingularityError` (the trajectory is running into a pole),
-and exceeding the step budget raises :class:`BudgetError`.
+Failure modes are explicit: a step size collapsing below 1e-13 of the
+current |t| raises :class:`SingularityError` (the trajectory is running into
+a pole), and exceeding the step budget raises :class:`BudgetError`.  The
+floor follows |t|, so a trajectory seeded at t0 = 1e-15 may take steps of
+1e-17; a backstop of 1e-28 of the span stops a pole at or through t = 0.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ _FACMIN = 0.2
 _FACMAX = 5.0
 _EXPO_ERR = 0.7 / 8.0
 _EXPO_OLD = 0.4 / 8.0
-_HMIN_FRACTION = 1e-13
+_HMIN_FRACTION = 1e-13  # of |t|
+_HMIN_BACKSTOP = 1e-28  # of the span, for |t| near 0
 
 
 def _error_norm(err: np.ndarray, h: float, y0: np.ndarray, y1: np.ndarray,
@@ -156,7 +159,7 @@ def integrate(
     if span == 0:
         return OdeSolution(t0, t1, y, 0, 0, 0)
     direction = 1.0 if t1 > t0 else -1.0
-    hmin = _HMIN_FRACTION * span
+    backstop = _HMIN_BACKSTOP * span
 
     k = np.empty((13, y.shape[0]), dtype=complex)  # the stages of one step
     k[0] = f(t0, y)
@@ -180,11 +183,12 @@ def integrate(
                 f"step budget {max_steps} exhausted at t={t} "
                 f"({naccept} accepted, {nreject} rejected)"
             )
-        if h < hmin:
+        if h < max(_HMIN_FRACTION * abs(t), backstop):
             raise SingularityError(
                 f"step size collapsed to {h:.3e} (span {span:.3e})", location=t
             )
-        if h > abs(t1 - t):
+        last = h >= abs(t1 - t)
+        if last:
             h = abs(t1 - t)
         hd = h * direction
 
@@ -195,7 +199,7 @@ def integrate(
         err = _error_norm(_E @ k, hd, y, y_new, rtol, atol)
 
         if fixed_step is not None or err <= 1.0:
-            t = t1 if abs(t1 - (t + hd)) < 1e-14 * span else t + hd
+            t = t1 if last else t + hd
             y = y_new
             k[0] = k[12]  # FSAL
             naccept += 1

@@ -21,7 +21,8 @@ through arg z in (-2 pi, -pi) -- geometrically the upper half-plane -- to +R
 (log(+R) = log R - 2 pi i on its sheet).  Both continuations follow a
 dumbbell-shaped polygonal contour: inward along the real axis to a small
 radius rho, around a semicircular polygon, and outward again, so the path
-never approaches the Fuchsian point.
+never approaches the Fuchsian point.  The upper dumbbell is the exact
+negation of the lower one.
 
 Frames at |z| = R are produced by evaluating the (divergent, optimally
 truncated) formal series at 2R and continuing the value down the ray from 2R
@@ -38,6 +39,12 @@ Mezzarobba, arXiv:1607.01967).  ``rtol`` bounds the summed truncation tail of
 each continuation; a step that needs more than ``_MAX_TERMS`` terms raises
 :class:`BudgetError`.  The result reports the steps, the terms and the summed
 tail.
+
+The four continuations come in two mirrored pairs: F- runs from -2R down to
+-R and around the upper dumbbell, which is F+'s path from 2R with z -> -z.
+The recurrence is linear, so each pair is stepped as one stack: one step
+plan, and one term loop whose 3x3 products act on both frames at once.  The
+work counts are still per continuation, summed over all four.
 """
 
 from __future__ import annotations
@@ -182,12 +189,14 @@ class _TaylorWork:
     tail: float = 0.0
 
 
-def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, rtol: float,
-                 atol: float, work: _TaylorWork) -> np.ndarray:
-    """Continue the frame value ``f`` along the polygon through ``vertices``.
+def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
+                 rtol: float, atol: float, work: _TaylorWork) -> np.ndarray:
+    """Continue a stack of frame values along mirrored copies of one polygon.
 
-    Multiplied by z the system reads z F' = (z U + Phi) F, so about z0 != 0
-    the Taylor coefficients of F obey the three-term recurrence
+    Frame ``f[j]`` follows the polygon through ``signs[j] * vertices``, with
+    ``signs[j]`` = +1 or -1.  Multiplied by z the system reads
+    z F' = (z U + Phi) F, so about z0 != 0 the Taylor coefficients of F obey
+    the three-term recurrence
 
         c_{k+1} = ((z0 U + Phi - k) c_k + U c_{k-1}) / (z0 (k+1)),
 
@@ -197,10 +206,14 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, rtol: float,
     bounds the phase |(u_k - c) h| by spread(u) |h| / 2.  A step is at most
     |z0|/2, inside the disc of convergence that reaches to the Fuchsian
     point 0, and at most 2 * _PHASE_STEP / spread(u).
-    The steps are planned first, so that ``rtol`` can be shared among them:
-    a step ends after two consecutive terms fall below rtol / (number of
-    steps) times the column scale max|F_col| + atol/rtol, and the summed
-    tail of the whole path (added to ``work.tail``) stays near ``rtol``.
+    The steps are planned first, once for the whole stack: negating the
+    polygon negates every (z0, h) of the plan exactly, and h / z0 is shared.
+    ``rtol`` is shared among the steps: a step ends after two consecutive
+    terms of every frame fall below rtol / (number of steps) times that
+    frame's column scale max|F_col| + atol/rtol, so no frame sums fewer terms
+    than it would alone, and the summed tail of each frame's path (added to
+    ``work.tail``) stays near ``rtol``.  ``work`` counts the steps and terms
+    of every frame.
     """
     if not rtol > 0.0:
         raise DomainError("rtol must be positive")
@@ -227,10 +240,14 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, rtol: float,
     tol = rtol / max(len(plan), 1)
     floor = atol / rtol
     f = np.asarray(f, dtype=complex)
+    m = f.shape[0]
+    sv = np.multiply.outer(signs, v)  # row j: signs[j] * v
+    eye = np.eye(system.n)
     for z, h in plan:
-        b = system.phi + np.diag(z * v)
+        b = system.phi + (z * sv)[:, :, None] * eye
+        hv = (h * sv)[:, :, None]
         q = h / z
-        scale = np.max(np.abs(f), axis=0) + floor
+        scale = np.max(np.abs(f), axis=1, keepdims=True) + floor
         term = f / scale
         prev = np.zeros_like(term)
         total = term.copy()
@@ -241,43 +258,29 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, rtol: float,
                     f"Taylor step {h:.3g} at z = {z:.6g} did not converge in "
                     f"{_MAX_TERMS} terms"
                 )
-            prev, term = term, (q / (k + 1)) * (b @ term - k * term
-                                                + h * v[:, None] * prev)
+            prev, term = term, (q / (k + 1)) * (b @ term - k * term + hv * prev)
             total += term
             k += 1
-            size = float(np.max(np.abs(term)))
-            small = small + 1 if size <= tol else 0
-        f = total * (scale * cmath.exp(centre * h))
-        work.steps += 1
-        work.terms += k
-        work.tail += size
+            small = small + 1 if abs(term).max() <= tol else 0
+        grow = np.array([cmath.exp(sj * centre * h) for sj in signs])
+        f = total * (scale * grow[:, None, None])
+        work.steps += m
+        work.terms += m * k
+        work.tail += float(np.sum(np.max(np.abs(term), axis=(1, 2))))
     return f
 
 
-def _canonical_frame(system: IrregularSystem, z: complex, log_z: complex,
-                     order: int, series_factor: float, rtol: float, atol: float,
-                     hs: list[np.ndarray] | None, work: _TaylorWork) -> np.ndarray:
-    z = complex(z)
-    if abs(cmath.exp(log_z) - z) > 1e-9 * abs(z):
-        raise DomainError("log_z is not a logarithm of z")
-    if series_factor < 1.0:
-        raise DomainError("series_factor must be >= 1")
-    if hs is None:
-        hs = formal_series_coefficients(system, order)
-    z2 = z * series_factor
-    log_z2 = log_z + math.log(series_factor)
-    n = system.n
-    h = np.eye(n, dtype=complex)
+def _series_frame(system: IrregularSystem, z: complex, log_z: complex,
+                  hs: list[np.ndarray]) -> np.ndarray:
+    """H(z) e^{Uz} z^{dPhi}, the formal series through ``hs``, at z."""
+    h = np.eye(system.n, dtype=complex)
     zm = 1.0 + 0.0j
     for hm in hs:
-        zm /= z2
+        zm /= z
         h = h + hm * zm
-    exp_u = np.exp(system.u * z2)
-    exp_d = np.exp(np.diag(system.phi) * log_z2)
-    f2 = h * exp_u[None, :] * exp_d[None, :]  # H @ diag(e^{uz}) @ diag(z^{dphi})
-    if series_factor == 1.0:
-        return f2
-    return _taylor_path(system, f2, [z2, z], rtol, atol, work)
+    exp_u = np.exp(system.u * z)
+    exp_d = np.exp(np.diag(system.phi) * log_z)
+    return h * exp_u[None, :] * exp_d[None, :]  # H @ diag(e^{uz}) @ diag(z^{dphi})
 
 
 def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
@@ -290,14 +293,24 @@ def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
     the same ray (where it is more accurate) and continues the value back to
     z by Taylor steps of the system itself.
     """
-    return _canonical_frame(system, z, log_z, order, series_factor, rtol, atol,
-                            hs, _TaylorWork())
+    z = complex(z)
+    if abs(cmath.exp(log_z) - z) > 1e-9 * abs(z):
+        raise DomainError("log_z is not a logarithm of z")
+    if series_factor < 1.0:
+        raise DomainError("series_factor must be >= 1")
+    if hs is None:
+        hs = formal_series_coefficients(system, order)
+    z2 = z * series_factor
+    f2 = _series_frame(system, z2, log_z + math.log(series_factor), hs)
+    if series_factor == 1.0:
+        return f2
+    return _taylor_path(system, [f2], [z2, z], (1,), rtol, atol, _TaylorWork())[0]
 
 
 def continue_frame(system: IrregularSystem, f0: np.ndarray, contour, *,
                    rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
     """Analytically continue a frame value along a polygonal contour."""
-    return _taylor_path(system, f0, contour, rtol, atol, _TaylorWork())
+    return _taylor_path(system, [f0], contour, (1,), rtol, atol, _TaylorWork())[0]
 
 
 @dataclass
@@ -305,9 +318,11 @@ class StokesNumericResult:
     """Stokes pair with its structural residuals and the work that made it.
 
     ``steps`` and ``terms`` count the Taylor steps and the series terms of
-    the four continuations; ``tail_bound`` sums the last term of every step,
-    relative to the frame's column scale: an estimate of the accumulated
-    truncation error before propagation.
+    the four continuations, each continuation counted on its own although
+    the mirrored pairs are stepped as one stack; ``tail_bound`` sums the last
+    term of every step of every continuation, relative to the frame's column
+    scale: an estimate of the accumulated truncation error before
+    propagation.
     """
 
     s_plus: np.ndarray
@@ -333,6 +348,10 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
                     check_tol: float = 1e-5) -> StokesNumericResult:
     """Compute (S+, S-) numerically via dumbbell continuation.
 
+    Two stacked Taylor continuations make the four frame values: (F+ from
+    2R, F- from -2R) down to +-R, then (F+(R), F-(-R)) around the lower
+    dumbbell and its negation.
+
     Raises :class:`AccuracyError` when the triangular structure or the
     diagonal law e^{-i pi phi_kk} fails beyond ``check_tol`` (relative).
     """
@@ -342,18 +361,21 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     hs = formal_series_coefficients(system, order)
     tail = float(np.max(np.abs(hs[-1]))) * (2.0 * r) ** (-order)
 
-    ln_r = math.log(r)
+    ln_r2 = math.log(r) + math.log(2.0)
     work = _TaylorWork()
-    f_plus_r = _canonical_frame(system, r, ln_r, order, 2.0, rtol, atol, hs, work)
-    f_minus_mr = _canonical_frame(system, -r, ln_r - 1j * math.pi, order, 2.0,
-                                  rtol, atol, hs, work)
+    # F+ from its series at 2R and F- from its series at -2R (arg -pi), each
+    # continued down its ray to |z| = R; the second path mirrors the first
+    f_plus_r, f_minus_mr = _taylor_path(
+        system, [_series_frame(system, 2.0 * r, ln_r2, hs),
+                 _series_frame(system, -2.0 * r, ln_r2 - 1j * math.pi, hs)],
+        [2.0 * r, r], (1, -1), rtol, atol, work)
 
-    # F+ continued clockwise through the lower half-plane: arg 0 -> -pi
+    # F+ continued clockwise through the lower half-plane: arg 0 -> -pi; F-
+    # continued clockwise on its sheet along the mirrored dumbbell: arg -pi
+    # -> -2 pi (upper half-plane)
     lower = [r] + _arc(rho, 0.0, -math.pi, n_arc) + [-r]
-    fp_cont = _taylor_path(system, f_plus_r, lower, rtol, atol, work)
-    # F- continued clockwise on its sheet: arg -pi -> -2 pi (upper half-plane)
-    upper = [-r] + _arc(rho, -math.pi, -2.0 * math.pi, n_arc) + [r]
-    fm_cont = _taylor_path(system, f_minus_mr, upper, rtol, atol, work)
+    fp_cont, fm_cont = _taylor_path(system, [f_plus_r, f_minus_mr], lower, (1, -1),
+                                    rtol, atol, work)
 
     diag = np.diag(system.phi)
     e_minus = np.exp(-1j * math.pi * diag)

@@ -124,6 +124,30 @@ class TestFailureModes:
                       rtol=1e-10, atol=1e-12)
         assert abs(complex(exc.value.location) - 1.0) < 1e-3
 
+    def test_step_floor_follows_t_near_origin(self):
+        # y' = y/t from t0 = 1e-15 (exact y = t) needs steps of about 1e-15,
+        # far below 1e-13 of the span but not below 1e-13 of |t|
+        sol = integrate(lambda t, y: y / t, 1e-15, 1.0, [1e-15])
+        assert abs(sol.y_end[0] - 1.0) < 1e-10
+
+    def test_interior_pole_away_from_origin_detected(self):
+        # y' = y^2, y(100) = 1 blows up at t = 101
+        with pytest.raises(SingularityError) as exc:
+            integrate(lambda t, y: y * y, 100.0, 103.0, np.array([1.0 + 0j]),
+                      max_steps=1000)
+        assert abs(complex(exc.value.location) - 101.0) < 1e-3
+
+    @pytest.mark.parametrize("rhs, t0, t1", [
+        (lambda t, y: y * y, -1.0, 1.0),  # y = -1/t, crossed at t = 0
+        (lambda t, y: -y / t, 1.0, 0.0),  # y = 1/t, reached at the end t = 0
+    ], ids=["crossed", "at_end"])
+    def test_pole_at_origin_detected_within_budget(self, rhs, t0, t1):
+        # the span-relative backstop stops the approach to t = 0, where the
+        # |t|-relative floor alone would keep shrinking the step
+        with pytest.raises(SingularityError) as exc:
+            integrate(rhs, t0, t1, np.array([1.0 + 0j]), max_steps=1000)
+        assert abs(complex(exc.value.location)) < 1e-10
+
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             integrate(lambda t, y: np.sin(50.0 * t) * y, 0.0, 100.0,

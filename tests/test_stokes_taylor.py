@@ -20,7 +20,8 @@ from isolab.arrows import arrow_g, arrow_q
 from isolab.cli_harness import SampleSpec, U_BASE, bridged_phi_at_u0, sample_parameters
 from isolab.errors import BudgetError, DomainError
 from isolab.ode_engine import integrate
-from isolab.stokes_numeric import IrregularSystem, continue_frame, stokes_matrices
+from isolab.stokes_numeric import (IrregularSystem, canonical_frame, continue_frame,
+                                   default_radius, stokes_matrices)
 
 U3 = np.array([0.0, 1.0j, 3.0j])
 PHI_DIAG = np.diag([0.21 + 0.1j, -0.33, 0.41 - 0.05j])
@@ -106,8 +107,55 @@ class TestTaylorContinuation:
         assert first.steps > 0 and first.terms > first.steps
         assert (first.steps, first.terms, first.tail_bound) == (
             again.steps, again.terms, again.tail_bound)
+        # the step plan of the default contour (radius 60, 64-vertex arcs),
+        # counted over the four continuations
+        assert first.steps == 310
         # four continuations, each holding its summed tail near rtol
         assert 0.0 < first.tail_bound < 4e-12
+
+    def test_stokes_matrices_term_cap_raises_budget_error(self, monkeypatch):
+        monkeypatch.setattr(stokes_numeric, "_MAX_TERMS", 3)
+        with pytest.raises(BudgetError, match="did not converge"):
+            stokes_matrices(IrregularSystem(U3, PHI_DIAG))
+
+    def test_stokes_matrices_rejects_nonpositive_rtol(self):
+        with pytest.raises(DomainError, match="rtol"):
+            stokes_matrices(IrregularSystem(U3, PHI_DIAG), rtol=0.0)
+
+
+def _four_continuations(system: IrregularSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(S+, S-) composed from one-frame continuations at the default contour.
+
+    Each canonical frame is made at its own base point, and each frame is
+    continued along its own dumbbell, the upper one drawn from its own arc.
+    """
+    r = default_radius(system)
+    ln_r = math.log(r)
+    f_plus = canonical_frame(system, r, ln_r)
+    f_minus = canonical_frame(system, -r, ln_r - 1j * math.pi)
+    fp_cont = continue_frame(system, f_plus, [r] + _arc(1.5, 0.0, -math.pi) + [-r])
+    fm_cont = continue_frame(system, f_minus,
+                             [-r] + _arc(1.5, -math.pi, -2.0 * math.pi) + [r])
+    e_minus = np.exp(-1j * math.pi * np.diag(system.phi))
+    return (e_minus[:, None] * np.linalg.solve(f_minus, fp_cont),
+            np.linalg.solve(f_plus, fm_cont) / e_minus[None, :])
+
+
+class TestStackedContinuation:
+    """``stokes_matrices`` steps the mirrored continuations as one stack."""
+
+    @pytest.mark.parametrize("which", ["diagonal", "bridged"])
+    def test_matches_four_separate_continuations(self, which):
+        if which == "diagonal":
+            system = IrregularSystem(U3, PHI_DIAG)
+        else:
+            d = sample_parameters(SampleSpec(seed=2026, narrow=True), 0)
+            system = IrregularSystem(U_BASE, bridged_phi_at_u0(d))
+        got = stokes_matrices(system)
+        for stacked, single in zip((got.s_plus, got.s_minus),
+                                   _four_continuations(system)):
+            rel = np.max(np.abs(stacked - single)) / np.max(np.abs(single))
+            assert rel <= 1e-12
 
 
 def _bridged_entry_error(seed: int, index: int) -> float:
@@ -127,7 +175,7 @@ class TestBridgeRegression:
 
     @pytest.mark.parametrize("seed", [1038, 7005])
     def test_draw_1_seeded_near_1e_12_bridges_and_agrees(self, seed):
-        # seeded at x0 ~ 1e-12, where the span-relative step floor
-        # 1e-13 * (1/3 - x0) is 1-3% of x0; a fifth-order pair needed
-        # smaller steps there and raised a false SingularityError
+        # seeded at x0 ~ 1e-12, where a span-relative step floor
+        # 1e-13 * (1/3 - x0) would be 1-3% of x0; a fifth-order pair needed
+        # smaller steps than that and raised a false SingularityError
         assert _bridged_entry_error(seed, 1) < TOL_STOKES_ENTRY

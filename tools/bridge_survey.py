@@ -11,8 +11,11 @@ too, all at the ``TOL_STOKES_*`` values of ``tests/test_acceptance.py``.
 Standard output is deterministic: the outcome counts (pass, typed errors by
 class, tolerance misses, numpy warnings, untyped exceptions), one line per
 draw that did not pass, and the median headroom log10(tol / err) of each
-check over the draws that returned.  The total time spent in the lattice
-solve (``pvi_trajectory._solve_lattice_series``) goes to standard error.
+check over the draws that returned.  Timings and work counts go to standard
+error: the total time spent in the lattice solve
+(``pvi_trajectory._solve_lattice_series``) and in ``stokes_matrices``, and
+the Taylor steps and terms that ``stokes_matrices`` reported, summed over the
+draws.
 """
 
 from __future__ import annotations
@@ -52,9 +55,16 @@ def stokes_tolerances() -> dict[str, float]:
                              tol["TOL_STOKES_DIAG"])))
 
 
-def check_draw(d) -> dict[str, float]:
+def check_draw(d, cost: Counter) -> dict[str, float]:
     closed = arrow_g(arrow_q(d))
-    num = stokes_matrices(IrregularSystem(U_BASE, bridged_phi_at_u0(d)), rtol=1e-12)
+    system = IrregularSystem(U_BASE, bridged_phi_at_u0(d))
+    t0 = time.perf_counter()
+    try:
+        num = stokes_matrices(system, rtol=1e-12)
+    finally:
+        cost["stokes_s"] += time.perf_counter() - t0
+    cost["steps"] += num.steps
+    cost["terms"] += num.terms
     entry = max(float(np.max(np.abs(num.s_plus - closed.s_plus))),
                 float(np.max(np.abs(num.s_minus - closed.s_minus))))
     return dict(zip(CHECKS, (entry, num.triangularity_residual, num.diag_residual)))
@@ -82,6 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     seeds = range(args.seeds[0], args.seeds[1] + 1)
     outcomes: Counter = Counter()
+    cost: Counter = Counter()
     failures: list[str] = []
     headroom: dict[str, list[float]] = {c: [] for c in CHECKS}
     for seed in seeds:
@@ -91,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    errs = check_draw(d)
+                    errs = check_draw(d, cost)
                 except IsolabError as exc:
                     kind, note = f"typed_error {type(exc).__name__}", str(exc)
                 except Exception as exc:  # noqa: BLE001 - a survey counts every outcome
@@ -119,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
         if headroom[c]:
             print(f"median headroom {c}: {statistics.median(headroom[c]):.2f}")
     print(f"lattice solve: {solve_s[0]:.2f} s", file=sys.stderr)
+    print(f"stokes_matrices: {cost['stokes_s']:.2f} s, {cost['steps']} steps, "
+          f"{cost['terms']} terms", file=sys.stderr)
     return 0
 
 
