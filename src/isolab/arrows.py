@@ -34,14 +34,7 @@ from math import pi
 
 import numpy as np
 
-from .core_linalg import (
-    as_matrix,
-    eigen2,
-    eigen3,
-    matrix_from_json,
-    matrix_to_json,
-    minor,
-)
+from .core_linalg import _eigen2, _eigen3, _minor, as_matrix, matrix_from_json, matrix_to_json
 from .errors import DisambiguationError, DomainError, GammaPoleError
 from .special_fn import gamma_c, gamma_hat
 
@@ -135,12 +128,50 @@ class MonodromyData:
 # genericity
 
 
-def _dist_int(z: complex) -> float:
-    return abs(z - round(z.real))
+#: Message templates of the eight even-integer combinations, in table order:
+#: for each sign pair (e1, e2), theta1 + e1 theta2 + e2 sigma, then
+#: theta_inf + e1 theta3 + e2 sigma.
+_EVEN_LOCI = [
+    (e1, e2,
+     f"theta1 {'+-'[e1 < 0]} theta2 {'+-'[e2 < 0]} sigma = {{}} is an even integer",
+     f"theta_inf {'+-'[e1 < 0]} theta3 {'+-'[e2 < 0]} sigma = {{}} is an even integer")
+    for e1 in (1, -1) for e2 in (1, -1)
+]
+
+#: Table rows that ``arrow_f`` checks on its reconstructed sigma: Re sigma = 1,
+#: sigma = 0, the four theta integers and the eight even combinations.  J is
+#: its output, and Re sigma = 0 is the branch it picks on the strip boundary.
+_ARROW_F_LOCI = (1, 2, 4, 5, 6, 7, *range(10, 18))
 
 
-def _dist_even(z: complex) -> float:
-    return abs(z - 2 * round(z.real / 2))
+def _loci(t1: complex, t2: complex, t3: complex, ti: complex, s: complex,
+          J: complex) -> list[tuple[float, str, object]]:
+    """Every excluded locus of the generic domain as (distance, template, value).
+
+    The message of a locus is ``template.format(value)``; it is built only for
+    the loci a caller reports.  The two loci theta_inf = +/-(theta1 + theta2 +
+    theta3) share one row and one message, at the smaller distance.
+    """
+    t123 = t1 + t2 + t3
+    loci = [
+        (s.real, "Re(sigma) = {} is not in (0, 1)", s.real),
+        (1.0 - s.real, "Re(sigma) = {} is not below 1", s.real),
+        (abs(s), "sigma = 0 (use the logarithmic variant)", None),
+        (abs(J), "J = 0", None),
+        (abs(t1 - round(t1.real)), "theta1 = {} is an integer", t1),
+        (abs(t2 - round(t2.real)), "theta2 = {} is an integer", t2),
+        (abs(t3 - round(t3.real)), "theta3 = {} is an integer", t3),
+        (abs(ti - round(ti.real)), "theta_inf = {} is an integer", ti),
+        (abs(ti), "theta_inf = 0", None),
+        (min(abs(ti - t123), abs(ti + t123)),
+         "theta_inf = +/-(theta1 + theta2 + theta3)", None),
+    ]
+    for e1, e2, m12, minf in _EVEN_LOCI:
+        x = t1 + e1 * t2 + e2 * s
+        loci.append((abs(x - 2 * round(x.real / 2)), m12, x))
+        x = ti + e1 * t3 + e2 * s
+        loci.append((abs(x - 2 * round(x.real / 2)), minf, x))
+    return loci
 
 
 def genericity_margin(d: PviAsymptoticData) -> float:
@@ -149,61 +180,22 @@ def genericity_margin(d: PviAsymptoticData) -> float:
     The loci: sigma on the strip boundary (Re sigma in {0, 1}) or sigma = 0;
     J = 0; any theta an integer; any of the eight combinations
     theta1 +/- theta2 +/- sigma, theta_inf +/- theta3 +/- sigma an even
-    integer; theta_inf = 0 or theta_inf = +/-(theta1+theta2+theta3).
+    integer; theta_inf = 0 or theta_inf = +/-(theta1+theta2+theta3).  Each
+    is one row of ``_loci``, and the margin is the smallest row distance.
     """
-    t1, t2, t3, ti = d.theta1, d.theta2, d.theta3, d.theta_inf
-    s = d.sigma
-    margins = [
-        s.real,
-        1.0 - s.real,
-        abs(s),
-        abs(d.J),
-        _dist_int(t1),
-        _dist_int(t2),
-        _dist_int(t3),
-        _dist_int(ti),
-        abs(ti),
-        abs(ti - (t1 + t2 + t3)),
-        abs(ti + (t1 + t2 + t3)),
-    ]
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            margins.append(_dist_even(t1 + e1 * t2 + e2 * s))
-            margins.append(_dist_even(ti + e1 * t3 + e2 * s))
-    return float(min(margins))
+    return float(min([row[0] for row in
+                      _loci(d.theta1, d.theta2, d.theta3, d.theta_inf, d.sigma, d.J)]))
 
 
 def validate_generic(d: PviAsymptoticData, tol: float = GENERICITY_TOL) -> list[str]:
-    """List of genericity conditions violated within ``tol`` (empty when generic)."""
-    t1, t2, t3, ti = d.theta1, d.theta2, d.theta3, d.theta_inf
-    s = d.sigma
-    bad: list[str] = []
-    if s.real < tol:
-        bad.append(f"Re(sigma) = {s.real} is not in (0, 1)")
-    if s.real > 1.0 - tol:
-        bad.append(f"Re(sigma) = {s.real} is not below 1")
-    if abs(s) < tol:
-        bad.append("sigma = 0 (use the logarithmic variant)")
-    if abs(d.J) < tol:
-        bad.append("J = 0")
-    for name, t in (("theta1", t1), ("theta2", t2), ("theta3", t3), ("theta_inf", ti)):
-        if _dist_int(t) < tol:
-            bad.append(f"{name} = {t} is an integer")
-    if abs(ti) < tol:
-        bad.append("theta_inf = 0")
-    if abs(ti - (t1 + t2 + t3)) < tol or abs(ti + (t1 + t2 + t3)) < tol:
-        bad.append("theta_inf = +/-(theta1 + theta2 + theta3)")
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            x = t1 + e1 * t2 + e2 * s
-            if _dist_even(x) < tol:
-                bad.append(f"theta1 {'+' if e1 > 0 else '-'} theta2 "
-                           f"{'+' if e2 > 0 else '-'} sigma = {x} is an even integer")
-            x = ti + e1 * t3 + e2 * s
-            if _dist_even(x) < tol:
-                bad.append(f"theta_inf {'+' if e1 > 0 else '-'} theta3 "
-                           f"{'+' if e2 > 0 else '-'} sigma = {x} is an even integer")
-    return bad
+    """List of genericity conditions violated within ``tol`` (empty when generic).
+
+    A condition is violated when its locus is closer than ``tol``, so the list
+    is empty exactly when ``genericity_margin(d) >= tol``.
+    """
+    return [template.format(value) for dist, template, value in
+            _loci(d.theta1, d.theta2, d.theta3, d.theta_inf, d.sigma, d.J)
+            if dist < tol]
 
 
 def _require_generic(d: PviAsymptoticData, tol: float = GENERICITY_TOL) -> None:
@@ -309,7 +301,7 @@ def arrow_q_inverse(b: BoundaryValue | np.ndarray, tol: float = 1e-8) -> PviAsym
     """
     m = _phi_matrix(b)
     t1, t2, t3 = -m[0, 0], -m[1, 1], -m[2, 2]
-    pair = eigen2(m[:2, :2])
+    pair = _eigen2(m[:2, :2])
     if pair.degenerate:
         raise DomainError(
             "arrow_q_inverse: upper 2x2 block has sigma ~ 0; the power-law "
@@ -338,10 +330,10 @@ def arrow_q_inverse(b: BoundaryValue | np.ndarray, tol: float = 1e-8) -> PviAsym
         if abs(den) < GENERICITY_TOL:
             continue
         J = rhs / den
-        candidate = PviAsymptoticData(t1, t2, t3, ti, s, J)
-        if validate_generic(candidate):
+        try:
+            rebuilt = arrow_q(PviAsymptoticData(t1, t2, t3, ti, s, J)).phi0
+        except DomainError:
             continue
-        rebuilt = arrow_q(candidate).phi0
         err = float(np.max(np.abs(_invariant_functionals(rebuilt) - target)))
         if err < tol * scale:
             matches.append((ti, J))
@@ -375,8 +367,8 @@ def _gamma(z: complex, what: str) -> complex:
 
 def _block_spectra(phi: np.ndarray) -> list[list[complex]]:
     """Ordered eigenvalue lists of the leading k x k blocks, k = 1, 2, 3."""
-    p = eigen2(phi[:2, :2])
-    return [[complex(phi[0, 0])], [p.lambda1, p.lambda2], list(eigen3(phi).values)]
+    p = _eigen2(phi[:2, :2])
+    return [[complex(phi[0, 0])], [p.lambda1, p.lambda2], list(_eigen3(phi).values)]
 
 
 def _stokes_entry(m: np.ndarray, sp: list[list[complex]], k: int, lower: bool) -> complex:
@@ -409,9 +401,9 @@ def _stokes_entry(m: np.ndarray, sp: list[list[complex]], k: int, lower: bool) -
             a, b = (ll, li) if lower else (li, ll)
             den *= _gamma(1 + a - b, "arrow_g")
         if lower:
-            mnr = minor(m - li * eye, far, near)
+            mnr = _minor(m - li * eye, far, near)
         else:
-            mnr = minor(li * eye - m, near, far)
+            mnr = _minor(li * eye - m, near, far)
         total += num / den * mnr
     return pref * total
 
@@ -436,7 +428,7 @@ def _corner_entries(m: np.ndarray, sp: list[list[complex]]) -> tuple[complex, co
         gden = _gamma(1 + lam11 - lo, "arrow_g corner")
         for mm in ms:
             gden *= _gamma(1 + li - mm, "arrow_g corner")
-        mnr = minor(m - li * np.eye(3, dtype=complex), (0, 1), (0, 2))
+        mnr = _minor(m - li * np.eye(3, dtype=complex), (0, 1), (0, 2))
         s_plus_13 += (
             -2j * pi * cmath.exp(-1j * pi * li)
             * gnum / gden
@@ -447,7 +439,7 @@ def _corner_entries(m: np.ndarray, sp: list[list[complex]]) -> tuple[complex, co
         gden_m = _gamma(1 + lo - lam11, "arrow_g corner")
         for mm in ms:
             gden_m *= _gamma(1 + mm - li, "arrow_g corner")
-        mnr_m = minor(m - li * np.eye(3, dtype=complex), (0, 2), (0, 1))
+        mnr_m = _minor(m - li * np.eye(3, dtype=complex), (0, 2), (0, 1))
         s_minus_31 += (
             2j * pi * cmath.exp(1j * pi * (lam11 - li - phi33))
             * gnum_m / gden_m
@@ -507,7 +499,7 @@ def arrow_g_direct(d: PviAsymptoticData, k1: complex = 1.0, k2: complex = 1.0) -
     corner entries are implementation-defined and obtained by conjugating
     the ``arrow_g(arrow_q(d))`` corners by diag(k1, k2, 1).
     """
-    _require_generic(d)
+    b = arrow_q(d)
     t1, t2, t3, ti = d.theta1, d.theta2, d.theta3, d.theta_inf
     s, J = d.sigma, d.J
     k1 = complex(k1)
@@ -552,7 +544,7 @@ def arrow_g_direct(d: PviAsymptoticData, k1: complex = 1.0, k2: complex = 1.0) -
     w32 = (1 / k2) * 2j * pi * e_m[1] * (w32_1 + w32_2)
 
     # corner entries via the composed map, transported to the (k1, k2) gauge
-    ref = arrow_g(arrow_q(d))
+    ref = arrow_g(b)
     sp13 = k1 * ref.s_plus[0, 2]
     w_ref = _lower_inverse(ref.s_minus)
     w31 = (1 / k1) * w_ref[2, 0]
@@ -574,9 +566,7 @@ def arrow_g_direct(d: PviAsymptoticData, k1: complex = 1.0, k2: complex = 1.0) -
 # arrow_p: Stokes -> trace coordinates
 
 
-def _check_stokes_shape(s: StokesPair, tol: float) -> None:
-    sp = as_matrix(s.s_plus, 3)
-    sm = as_matrix(s.s_minus, 3)
+def _check_stokes_shape(sp: np.ndarray, sm: np.ndarray, tol: float) -> None:
     scale = max(1.0, float(np.max(np.abs(sp))), float(np.max(np.abs(sm))))
     lower = max(abs(sp[1, 0]), abs(sp[2, 0]), abs(sp[2, 1]))
     upper = max(abs(sm[0, 1]), abs(sm[0, 2]), abs(sm[1, 2]))
@@ -597,10 +587,10 @@ def arrow_p(
     p_k = 2 cos(pi theta_k), p_inf = 2 cos(pi theta_inf).  The diagonal law
     (S+-)_kk = exp(i pi theta_k) is validated against ``thetas``.
     """
-    _check_stokes_shape(s, shape_tol)
-    t1, t2, t3, ti = (complex(t) for t in thetas)
     sp = as_matrix(s.s_plus, 3)
     sm = as_matrix(s.s_minus, 3)
+    _check_stokes_shape(sp, sm, shape_tol)
+    t1, t2, t3, ti = (complex(t) for t in thetas)
     for k, t in enumerate((t1, t2, t3)):
         want = cmath.exp(1j * pi * t)
         for name, mat in (("S+", sp), ("S-", sm)):
@@ -685,28 +675,6 @@ def _ab_terms(
     return a, b
 
 
-def _check_f_conditions(
-    thetas: tuple[complex, complex, complex, complex], s: complex
-) -> None:
-    t1, t2, t3, ti = thetas
-    bad: list[str] = []
-    for name, t in (("theta1", t1), ("theta2", t2), ("theta3", t3), ("theta_inf", ti)):
-        if _dist_int(t) < GENERICITY_TOL:
-            bad.append(f"{name} is an integer")
-    if abs(s) < GENERICITY_TOL:
-        bad.append("sigma = 0")
-    if not -GENERICITY_TOL < s.real < 1.0 - GENERICITY_TOL:
-        bad.append(f"Re(sigma) = {s.real} outside [0, 1)")
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            if _dist_even(t1 + e1 * t2 + e2 * s) < GENERICITY_TOL:
-                bad.append("theta1 +/- theta2 +/- sigma hits an even integer")
-            if _dist_even(ti + e1 * t3 + e2 * s) < GENERICITY_TOL:
-                bad.append("theta_inf +/- theta3 +/- sigma hits an even integer")
-    if bad:
-        raise DomainError("arrow_f: " + "; ".join(sorted(set(bad))))
-
-
 def arrow_f(
     m: MonodromyData, thetas: tuple[complex, complex, complex, complex]
 ) -> tuple[complex, complex]:
@@ -721,8 +689,11 @@ def arrow_f(
     s = cmath.acos(complex(m.p12) / 2) / pi
     if s.real == 0 and s.imag < 0:
         s = -s
-    _check_f_conditions(thetas, s)
     t1, t2, t3, ti = thetas
+    loci = _loci(*thetas, s, 1.0)  # J is the output; its row is not checked
+    bad = [loci[i] for i in _ARROW_F_LOCI if loci[i][0] < GENERICITY_TOL]
+    if bad:
+        raise DomainError("arrow_f: " + "; ".join(t.format(v) for _, t, v in bad))
     a, b = _ab_terms(thetas, s, m.p23, m.p13)
     d = _d_factor(thetas, s)
     c = _c_factor(thetas, s)

@@ -4,6 +4,13 @@ Everything here operates on plain ``numpy`` arrays of ``complex128``.
 Matrices are tiny (n <= 4 in practice), so clarity and deterministic
 behaviour win over vectorisation tricks.
 
+The public functions validate their input (shape, finiteness, index
+selections) and raise ``DomainError`` on bad input.  ``eigen2``, ``eigen3``
+and ``minor`` are that validation followed by a call to the private kernels
+``_eigen2``, ``_eigen3`` and ``_minor``, which trust an already-validated
+``complex128`` matrix; callers that hold one (a block of an ``as_matrix``
+result, say) call the kernels directly.
+
 The module also owns the JSON wire format for complex matrices:
 ``{"n": n, "re": [[...]], "im": [[...]]}`` with row-major nested lists.
 """
@@ -102,7 +109,10 @@ def eigen2(a) -> SpectrumPair:
     sign chosen to avoid cancellation; the other root comes from the product
     ``det = lambda1 * lambda2`` when the first root is nonzero.
     """
-    m = as_matrix(a, 2)
+    return _eigen2(as_matrix(a, 2))
+
+
+def _eigen2(m: np.ndarray) -> SpectrumPair:
     tr = complex(m[0, 0] + m[1, 1])
     det = complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     disc = tr * tr - 4.0 * det
@@ -133,7 +143,10 @@ def eigen3(a, degeneracy_rtol: float = DEGENERACY_RTOL) -> Eigen3:
     1e-6.  The 2x2 route (:func:`eigen2`) does not share this floor: its
     discriminant vanishes exactly for a repeated root.
     """
-    m = as_matrix(a, 3)
+    return _eigen3(as_matrix(a, 3), degeneracy_rtol)
+
+
+def _eigen3(m: np.ndarray, degeneracy_rtol: float = DEGENERACY_RTOL) -> Eigen3:
     t1 = complex(np.trace(m))
     t2 = complex(np.trace(m @ m))
     e1 = t1
@@ -164,14 +177,18 @@ def minor(a, rows: tuple[int, ...] | list[int], cols: tuple[int, ...] | list[int
             raise DomainError(f"minor: {name} {idx} out of range for n={m.shape[0]}")
         if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
             raise DomainError(f"minor: {name} {idx} not strictly increasing")
-    if not r:
+    return _minor(m, r, c)
+
+
+def _minor(m: np.ndarray, rows, cols) -> complex:
+    if not rows:
         return 1.0 + 0.0j
-    sub = m[np.ix_(r, c)]
-    if len(r) == 1:
-        return complex(sub[0, 0])
-    if len(r) == 2:
-        return complex(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    return complex(np.linalg.det(sub))
+    if len(rows) == 1:
+        return complex(m[rows[0], cols[0]])
+    if len(rows) == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        return complex(m[r0, c0] * m[r1, c1] - m[r0, c1] * m[r1, c0])
+    return complex(np.linalg.det(m[np.ix_(rows, cols)]))
 
 
 def diag_conjugate(a, k_diag, invert: bool = False) -> np.ndarray:
@@ -236,7 +253,7 @@ def matrix_power_scalar(a, s: complex, log_s: complex | None = None) -> np.ndarr
         out[0, 0] = np.exp(log_s * block[0, 0])
         out[1, 1] = np.exp(log_s * block[1, 1])
         return out
-    pair = eigen2(block)
+    pair = _eigen2(block)
     if pair.degenerate:
         raise DegenerateSpectrumError(
             "matrix_power_scalar: 2x2 block has (near-)coincident eigenvalues "

@@ -782,7 +782,8 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
     xs = [p.x for p in pts]
     powers = correction_powers(d.sigma)
     a_limit = extrapolate_known_powers(xs, a_vals, powers)
-    b_vals = [b_matrix(d, p) for p in pts]
+    phi2 = delta_k(arrow_q(d).phi0, 2)
+    b_vals = [b_matrix(d, p, phi2) for p in pts]
 
     # slope of the transcendent's relative correction y/(J x^(1-sigma)) - 1
     # over the lower end of the ladder

@@ -109,26 +109,15 @@ class IrregularSystem:
         ims = u.imag
         if not np.all(np.diff(ims) > 0):
             raise DomainError("Im(u) must be strictly increasing")
-        diag = np.diag(phi)
-        for i in range(len(u)):
-            for j in range(i + 1, len(u)):
-                d = diag[i] - diag[j]
-                nd = round(d.real)
-                if nd != 0 and abs(d - nd) < _RESONANCE_TOL:
-                    raise DomainError(
-                        f"resonant diagonal: phi_{i}{i} - phi_{j}{j} = {d} is "
-                        "within 1e-8 of a nonzero integer"
-                    )
-        evs = np.linalg.eigvals(phi)
-        for i in range(len(evs)):
-            for j in range(i + 1, len(evs)):
-                d = evs[i] - evs[j]
-                nd = round(d.real)
-                if nd != 0 and abs(d - nd) < _RESONANCE_TOL:
-                    raise DomainError(
-                        f"resonant spectrum: eigenvalue difference {d} is "
-                        "within 1e-8 of a nonzero integer"
-                    )
+        for what, vals in (("diagonal: phi_{i}{i} - phi_{j}{j} = {d}", np.diag(phi)),
+                           ("spectrum: eigenvalue difference {d}", np.linalg.eigvals(phi))):
+            for i in range(len(vals)):
+                for j in range(i + 1, len(vals)):
+                    d = vals[i] - vals[j]
+                    nd = round(d.real)
+                    if nd != 0 and abs(d - nd) < _RESONANCE_TOL:
+                        raise DomainError(f"resonant {what.format(i=i, j=j, d=d)} is "
+                                          "within 1e-8 of a nonzero integer")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "phi", phi)
 

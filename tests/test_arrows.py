@@ -10,6 +10,7 @@ every composed tuple must satisfy.
 from __future__ import annotations
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from isolab.arrows import (
     trace_identity_residual,
     validate_generic,
 )
+from isolab.cli_harness import SampleSpec, sample_parameters
 from isolab.core_linalg import diag_conjugate, eigen2
 from isolab.errors import DisambiguationError, DomainError
 
@@ -66,6 +68,54 @@ FIXED = PviAsymptoticData(
     sigma=0.445 + 0.12j,
     J=1.1 * cmath.exp(0.7j),
 )
+
+
+#: Distance from the excluded locus at which ``LOCUS_PLACEMENTS`` puts its data.
+DELTA = 1e-4
+
+
+def _on_locus(**fields) -> PviAsymptoticData:
+    return PviAsymptoticData(**{**FIXED.__dict__, **fields})
+
+
+_T1, _T2, _T3, _TI, _S = (FIXED.theta1, FIXED.theta2, FIXED.theta3,
+                          FIXED.theta_inf, FIXED.sigma)
+
+#: One data point DELTA away from each of the 19 excluded loci, with a pattern
+#: matching the locus's message.  Every other locus is at least 0.04 away,
+#: except that sigma = 0 also puts Re sigma at DELTA and theta_inf = 0 is
+#: also an integer.
+LOCUS_PLACEMENTS = [
+    ("re_sigma_0", _on_locus(sigma=DELTA + 0.12j), r"^Re\(sigma\) = .* is not in \(0, 1\)$"),
+    ("re_sigma_1", _on_locus(sigma=1 - DELTA + 0.12j), r"^Re\(sigma\) = .* is not below 1$"),
+    ("sigma_0", _on_locus(sigma=DELTA + 0j), r"^sigma = 0 \(use the logarithmic variant\)$"),
+    ("J_0", _on_locus(J=DELTA * cmath.exp(0.7j)), r"^J = 0$"),
+    ("theta1_int", _on_locus(theta1=1 + DELTA + 0j), r"^theta1 = .* is an integer$"),
+    ("theta2_int", _on_locus(theta2=-1 + DELTA + 0j), r"^theta2 = .* is an integer$"),
+    ("theta3_int", _on_locus(theta3=DELTA + 0j), r"^theta3 = .* is an integer$"),
+    ("theta_inf_int", _on_locus(theta_inf=1 + DELTA + 0j), r"^theta_inf = .* is an integer$"),
+    ("theta_inf_0", _on_locus(theta_inf=DELTA * 1j), r"^theta_inf = 0$"),
+    ("theta_inf_plus_sum", _on_locus(theta_inf=_T1 + _T2 + _T3 + DELTA),
+     r"^theta_inf = \+/-\(theta1 \+ theta2 \+ theta3\)$"),
+    ("theta_inf_minus_sum", _on_locus(theta_inf=-(_T1 + _T2 + _T3) + DELTA),
+     r"^theta_inf = \+/-\(theta1 \+ theta2 \+ theta3\)$"),
+    ("t1+t2+s", _on_locus(theta2=DELTA - _T1 - _S),
+     r"^theta1 \+ theta2 \+ sigma = .* is an even integer$"),
+    ("t1+t2-s", _on_locus(theta2=DELTA - _T1 + _S),
+     r"^theta1 \+ theta2 - sigma = .* is an even integer$"),
+    ("t1-t2+s", _on_locus(theta2=_T1 + _S - DELTA),
+     r"^theta1 - theta2 \+ sigma = .* is an even integer$"),
+    ("t1-t2-s", _on_locus(theta2=_T1 - _S - DELTA),
+     r"^theta1 - theta2 - sigma = .* is an even integer$"),
+    ("ti+t3+s", _on_locus(theta3=DELTA - _TI - _S),
+     r"^theta_inf \+ theta3 \+ sigma = .* is an even integer$"),
+    ("ti+t3-s", _on_locus(theta3=DELTA - _TI + _S),
+     r"^theta_inf \+ theta3 - sigma = .* is an even integer$"),
+    ("ti-t3+s", _on_locus(theta3=_TI + _S - DELTA),
+     r"^theta_inf - theta3 \+ sigma = .* is an even integer$"),
+    ("ti-t3-s", _on_locus(theta3=_TI - _S - DELTA),
+     r"^theta_inf - theta3 - sigma = .* is an even integer$"),
+]
 
 
 def sorted_vals(values) -> list[complex]:
@@ -153,6 +203,26 @@ class TestGenericityMargin:
 
     def test_validate_empty_for_generic(self):
         assert validate_generic(FIXED) == []
+
+    @pytest.mark.parametrize("d, pattern", [c[1:] for c in LOCUS_PLACEMENTS],
+                             ids=[c[0] for c in LOCUS_PLACEMENTS])
+    def test_each_locus_is_named_at_its_distance(self, d, pattern):
+        assert genericity_margin(d) == pytest.approx(DELTA, rel=1e-6)
+        assert any(re.match(pattern, msg) for msg in validate_generic(d, tol=2 * DELTA))
+        assert validate_generic(d, tol=DELTA / 2) == []
+
+    def test_validate_agrees_with_margin_on_sampler_boxes(self):
+        seen = set()
+        for narrow in (False, True):
+            spec = SampleSpec(seed=2026, margin=1e-12, narrow=narrow)
+            for i in range(200):
+                d = sample_parameters(spec, i)
+                margin = genericity_margin(d)
+                for tol in (0.01, 0.05, 0.1):
+                    generic = validate_generic(d, tol) == []
+                    assert generic == (margin >= tol)
+                    seen.add(generic)
+        assert seen == {True, False}
 
 
 class TestArrowQSigma0:
@@ -386,9 +456,14 @@ class TestAlgebraicIdentities:
 
     def test_arrow_f_rejects_integer_theta(self):
         m = arrow_p(arrow_g(arrow_q(FIXED)), FIXED.thetas)
-        bad = (1.0, FIXED.theta2, FIXED.theta3, FIXED.theta_inf)
-        with pytest.raises(DomainError, match="integer"):
-            arrow_f(m, bad)
+        t1, _, t3, ti = FIXED.thetas
+        for bad, fragment in [
+            ((1.0, FIXED.theta2, t3, ti), "integer"),
+            # theta1 + theta2 + sigma = 0 for the sigma read off p12
+            ((t1, -t1 - FIXED.sigma, t3, ti), "even integer"),
+        ]:
+            with pytest.raises(DomainError, match=fragment):
+                arrow_f(m, bad)
 
     def test_arrow_f_sigma_branch_on_strip(self):
         rng = np.random.default_rng(54)

@@ -172,6 +172,19 @@ class TestShapeHelpers:
             rtol=1e-12,
         )
 
+    def test_public_routines_reject_wrong_size_and_nonfinite(self):
+        nonfinite = np.eye(3, dtype=complex)
+        nonfinite[1, 0] = np.nan
+        for call, wrong_size, bad in [
+            (eigen2, np.eye(3), nonfinite[:2, :2]),
+            (eigen3, np.eye(2), nonfinite),
+            (lambda a: minor(a, (0, 1), (0, 1)), np.zeros((2, 3)), nonfinite),
+        ]:
+            with pytest.raises(DomainError):
+                call(wrong_size)
+            with pytest.raises(DomainError):
+                call(bad)
+
     def test_minor_rejects_bad_selections(self):
         m = np.eye(3)
         with pytest.raises(DomainError):

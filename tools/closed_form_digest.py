@@ -7,7 +7,9 @@ draw ``i`` of ``SampleSpec(seed, narrow=...)`` runs through
   ``arrow_f``), checked against the Fricke cubic at the ``TOL_CUBIC`` of
   ``tests/test_acceptance.py``;
 * ``arrow_q_inverse(arrow_q(d))``;
-* ``arrow_g_direct(d, 1.3-0.2j, 0.8+0.5j)``.
+* ``arrow_g_direct(d, 1.3-0.2j, 0.8+0.5j)``;
+* ``genericity_margin(d)`` and ``sorted(validate_generic(d, tol=0.05))``,
+  messages included.
 
     python3 tools/closed_form_digest.py --seeds 2026 401 --draws 4000
 
@@ -36,12 +38,16 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from isolab.arrows import (  # noqa: E402
     arrow_f, arrow_g, arrow_g_direct, arrow_p, arrow_q, arrow_q_inverse,
-    cubic_residual)
+    cubic_residual, genericity_margin, validate_generic)
 from isolab.cli_harness import SampleSpec, sample_parameters  # noqa: E402
 from isolab.errors import IsolabError  # noqa: E402
 
 #: Gauge of the ``arrow_g_direct`` call, away from the k1 = k2 = 1 default.
 GAUGE = (1.3 - 0.2j, 0.8 + 0.5j)
+
+#: Tolerance of the hashed ``validate_generic`` call: above the sampler's
+#: margin of 0.02, so some draws list violated conditions.
+GENERIC_TOL = 0.05
 
 
 def tol_cubic() -> float:
@@ -84,6 +90,8 @@ def digest_box(spec: SampleSpec, draws: int, tol: float, notes: list[str]):
     errors: Counter = Counter()
     for i in range(draws):
         d = sample_parameters(spec, i)
+        h.update(np.float64(genericity_margin(d)).tobytes())
+        h.update("\n".join(sorted(validate_generic(d, tol=GENERIC_TOL))).encode() + b"\0")
         for name, stage in STAGES:
             try:
                 outs, cubic = stage(d)
