@@ -295,7 +295,7 @@ def cmd_limits(args) -> int:
 
 
 def bridged_phi_at_u0(d: PviAsymptoticData, *, x_seed: float = 1e-5,
-                      rtol: float = 1e-11, sheet: int = BRIDGE_SHEET) -> np.ndarray:
+                      rtol: float = 1e-12, sheet: int = BRIDGE_SHEET) -> np.ndarray:
     """Phi at the reference configuration U_BASE via the trajectory bridge.
 
     Seeds the trajectory with the unit gauge, extends it to the cross-ratio

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_linalg import as_matrix, eigen2
-from .errors import DomainError
+from .errors import DomainError, SingularityError
 from .ode_engine import integrate
 
 __all__ = [
@@ -319,6 +319,14 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
     commutator right side cancel catastrophically at large reach, while Psi
     stays bounded.  The band and the diagonal are gauge-invariant, and the
     final Phi is reconstructed by undoing the (diagonal) gauge.
+
+    The integration variable is tau = log1p(s |ray| / |u_k|), with
+    right-hand side (e^tau / speed) dPsi/ds at s = expm1(tau) / speed,
+    speed = |ray| / |u_k|.  The gauge term decays like 1/s and the
+    corrections like powers of 1/s, so in tau the right-hand side is nearly
+    constant per e-fold of the reach.  The map is smooth for every accepted
+    ray, radial or not; a ``SingularityError`` reports its location as an s
+    value.
     """
     uu, m = _coerce(u0, phi0)
     n = uu.shape[0]
@@ -353,14 +361,24 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
         u[k] = uu[k] + s * direction
         return u
 
-    rhs = _shrink_rhs(uu, k, direction, delta)
+    speed = abs(direction) / r0
+    f = _shrink_rhs(uu, k, direction, delta)
+
+    def rhs(tau, state):
+        return (math.exp(tau) / speed) * f(math.expm1(tau) / speed, state)
+
     psi = m.copy()
     bands = [_band(psi)]
     nfev = naccept = nreject = 0
     for s_a, s_b in zip(stops[:-1], stops[1:]):
         _segment_collision_check(u_of(s_a), u_of(s_b), 1e-9)
-        sol = integrate(rhs, s_a, s_b, psi.ravel(), rtol=rtol, atol=atol,
-                        max_steps=max_steps)
+        try:
+            sol = integrate(rhs, math.log1p(s_a * speed), math.log1p(s_b * speed),
+                            psi.ravel(), rtol=rtol, atol=atol, max_steps=max_steps)
+        except SingularityError as exc:
+            s_pole = math.expm1(exc.location) / speed
+            raise SingularityError(f"{exc} in tau = log1p(s |ray| / |u_k|), "
+                                   f"at s = {s_pole:.6e}", location=s_pole) from exc
         psi = sol.y_end.reshape(n, n)
         bands.append(_band(psi))
         nfev += sol.nfev

@@ -10,7 +10,7 @@ eighth-order pair takes several times fewer steps than a fifth-order one.
 Failure modes are explicit: a step size collapsing below 1e-13 of the
 current |t| raises :class:`SingularityError` (the trajectory is running into
 a pole), and exceeding the step budget raises :class:`BudgetError`.  The
-floor follows |t|, so a trajectory seeded at t0 = 1e-15 may take steps of
+floor follows |t|, so an integration started at t0 = 1e-15 may take steps of
 1e-17; a backstop of 1e-28 of the span stops a pole at or through t = 0.
 """
 

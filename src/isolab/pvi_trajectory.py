@@ -18,7 +18,9 @@ time: each coefficient equation of the residual is affine in its own key's
 coefficient, with slope (a(1-sigma) + b sigma)^2, once the lower levels are
 fixed.  Alongside (y, y') the integration carries the two
 logarithmic gauge accumulators w_i whose exponentials are the diagonal gauge
-functions k_i(x) normalised to k_i(x) ~ x^{gamma_i} as x -> 0.
+functions k_i(x) normalised to k_i(x) ~ x^{gamma_i} as x -> 0.  The
+integration variable is t = log x, in which these power laws and the
+gamma_i log x growth of the w_i change at a nearly constant rate.
 
 From a trajectory point one assembles the residue matrix Omega(x) of the
 associated linear system; conjugating by x^{dPhi} and by the matrix power of
@@ -39,7 +41,7 @@ import numpy as np
 
 from .arrows import PviAsymptoticData, arrow_q, validate_generic
 from .core_linalg import delta_k, matrix_power_scalar
-from .errors import ConvergenceError, DomainError, ScalingError
+from .errors import ConvergenceError, DomainError, ScalingError, SingularityError
 from .ode_engine import integrate
 
 __all__ = [
@@ -65,6 +67,8 @@ _KEY_TOL = 1e-9
 #: gamma_n = n u / (1 - n u) of Higham's bound for chains of n = 128
 #: floating-point operations (unit roundoff u = eps / 2).
 _ROUNDING_GAMMA = 64.0 * float(np.finfo(float).eps)
+#: lowest seed point of the descent in ``seed_asymptotic``
+_SEED_FLOOR = 1e-15
 
 
 class PuiseuxSeries:
@@ -479,12 +483,13 @@ def seed_asymptotic(d: PviAsymptoticData, x0: float, cutoff_rel: float = 2.2,
     interior sigma), "three_term" (explicit three-term expansion, intended
     for the oscillatory boundary Re sigma = 0), or "auto".
 
-    When ``target_rel`` is given (lattice mode), the seed point is moved
+    When ``target_rel`` is given (lattice mode), the seed point is halved
     below ``x0`` as needed until the estimated relative truncation error of
     the series drops under the target; the caller must read the seed point
     back from the result.  Near the strip edges the series coefficients grow
     geometrically, so the usable seed point can be orders of magnitude
-    smaller there.
+    smaller there.  The descent stops at 1e-15 and raises
+    ``ConvergenceError`` if the estimate is still above the target there.
     """
     if not 0 < x0 < 0.5:
         raise DomainError("seed point must satisfy 0 < x0 < 1/2")
@@ -530,13 +535,13 @@ def seed_asymptotic(d: PviAsymptoticData, x0: float, cutoff_rel: float = 2.2,
     x_use = x0
     if target_rel is not None:
         while est(x_use) > target_rel:
-            x_use *= 0.5
-            if x_use < 1e-12:
+            if 0.5 * x_use < _SEED_FLOOR:
                 raise ConvergenceError(
                     f"seed accuracy {target_rel} unattainable: estimate "
                     f"{est(x_use):.2e} at x = {x_use:.2e} "
                     f"(coefficient scale {cscale:.2e})"
                 )
+            x_use *= 0.5
     y0 = y_series.evaluate(x_use)
     yp0 = y_series.derivative().evaluate(x_use)
     lx = math.log(x_use)
@@ -583,20 +588,39 @@ _W_LIMIT = 690.0  # |Re w| beyond this overflows exp() in double precision
 def extend_trajectory(thetas: tuple[complex, complex, complex, complex],
                       seed: TrajectorySeed, xs, *, rtol: float = 1e-11,
                       atol: float = 1e-14) -> list[TrajectoryPoint]:
-    """Integrate the trajectory from the seed through the increasing points ``xs``."""
+    """Integrate the trajectory from the seed through the increasing points ``xs``.
+
+    The integration variable is t = log x, with right-hand side x f(x, state)
+    for the d/dx right-hand side f of ``pvi_rhs``.  Near x = 0 the solution
+    is a sum of powers of x and the gauge accumulators grow like
+    gamma_i log x, so in t every component changes at a nearly constant rate
+    and the step count grows only with the number of e-folds crossed.  A
+    ``SingularityError`` reports its location as an x value.
+    """
     targets = sorted(float(x) for x in xs)
     if not targets:
         return []
     if targets[0] < seed.x0 * (1.0 - 1e-12):
         raise DomainError("extend_trajectory integrates upward: targets must be >= x0")
-    rhs = pvi_rhs(thetas)
+    f = pvi_rhs(thetas)
+
+    def rhs(t, state):
+        x = math.exp(t)
+        return x * f(x, state)
+
     state = np.array([seed.y, seed.yp, seed.w1, seed.w2], dtype=complex)
-    xa = seed.x0
+    ta = math.log(seed.x0)
     budget = 2_000_000  # steps, shared by all segments
     points: list[TrajectoryPoint] = []
     for xv in targets:
-        sol = integrate(rhs, xa, xv, state, rtol=rtol, atol=atol, max_steps=budget)
-        state, xa = sol.y_end, xv
+        tv = math.log(xv)
+        try:
+            sol = integrate(rhs, ta, tv, state, rtol=rtol, atol=atol, max_steps=budget)
+        except SingularityError as exc:
+            x_pole = math.exp(exc.location)
+            raise SingularityError(f"{exc} in t = log x, at x = {x_pole:.6e}",
+                                   location=x_pole) from exc
+        state, ta = sol.y_end, tv
         budget -= sol.naccept + sol.nreject
         for w in (state[2], state[3]):
             if abs(w.real) > _W_LIMIT:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isolab import cli_harness
+from isolab import cli_harness, pvi_trajectory
 from isolab.arrows import (
     arrow_q,
     genericity_margin,
@@ -34,6 +34,7 @@ from isolab.cli_harness import (
     shrink_sample,
 )
 from isolab.errors import ConfigError, SingularityError
+from isolab.ode_engine import integrate
 
 
 def read_json(path: Path) -> dict:
@@ -123,6 +124,30 @@ class TestBridgeConstants:
         np.testing.assert_allclose(key(np.linalg.eigvals(phi)),
                                    key(np.linalg.eigvals(phi0)), atol=1e-7)
         assert np.max(np.abs(phi - phi0)) > 1e-2
+
+
+class TestBridgeIntegration:
+    """The bridge steps in t = log x, in few steps and accurately at its defaults."""
+
+    def test_narrow_draw_0_takes_few_steps(self, monkeypatch):
+        # stepped in x at rtol 1e-11, the same bridge needs 238 steps
+        seen = []
+
+        def counting(*args, **kwargs):
+            sol = integrate(*args, **kwargs)
+            seen.append(sol.naccept + sol.nreject)
+            return sol
+
+        monkeypatch.setattr(pvi_trajectory, "integrate", counting)
+        bridged_phi_at_u0(sample_parameters(SampleSpec(seed=2026, narrow=True), 0))
+        assert 0 < sum(seen) <= 130
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_default_agrees_with_a_tight_reference(self, index):
+        d = sample_parameters(SampleSpec(seed=2026, narrow=True), index)
+        got = bridged_phi_at_u0(d)
+        ref = bridged_phi_at_u0(d, rtol=1e-14)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestRoundtripCommand:

@@ -11,13 +11,14 @@ direct short-reach transport without the co-moving gauge.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from isolab import jmms_flow
-from isolab.errors import DomainError
+from isolab.errors import DomainError, SingularityError
 from isolab.jmms_flow import (
     ShrinkReport,
     b_field,
@@ -296,6 +297,28 @@ class TestShrinkingCheck:
         d, _ = shrink_sample(SampleSpec(narrow=True), 200)
         rep = shrinking_check(U_BASE, bridged_phi_at_u0(d), reach=1e10)
         assert rep.naccept < 1000
+
+    def test_criterion_8_ray_steps_in_log_reach(self):
+        # in tau = log1p(s |ray| / |u_k|) the gauge term rate (delta_i -
+        # delta_j) psi ~ psi / s is nearly constant; stepped in s, the same
+        # ray needs about 490 accepted steps
+        from isolab.cli_harness import U_BASE, SampleSpec, bridged_phi_at_u0, shrink_sample
+
+        d, _ = shrink_sample(SampleSpec(narrow=True), 200)
+        rep = shrinking_check(U_BASE, bridged_phi_at_u0(d), reach=1e10)
+        assert rep.naccept < 250
+
+    def test_singularity_location_is_an_s_value(self, monkeypatch):
+        # U3's ray runs radially from u_3 = 3i: speed |ray| / |u_3| = 1, so a
+        # singularity met at tau is reported at s = expm1(tau)
+        def raising(f, t0, t1, y0, **kwargs):
+            raise SingularityError("step size collapsed", location=math.log1p(41.5))
+
+        monkeypatch.setattr(jmms_flow, "integrate", raising)
+        phi = 0.3 * random_state(np.random.default_rng(96))
+        with pytest.raises(SingularityError) as info:
+            shrinking_check(np.array([0.0, 1.0j, 3.0j]), phi, reach=1e3)
+        assert info.value.location == pytest.approx(41.5, rel=1e-14)
 
     def test_invalid_rays_rejected(self):
         phi = np.diag([0.1, 0.2, 0.3]).astype(complex)

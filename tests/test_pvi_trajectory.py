@@ -10,6 +10,7 @@ two different seed points.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from numpy.testing import assert_allclose
 from isolab.arrows import PviAsymptoticData, arrow_q
 from isolab.core_linalg import delta_k
 from isolab.cli_harness import SampleSpec, sample_parameters
-from isolab.errors import ConvergenceError, DomainError
+from isolab.errors import ConvergenceError, DomainError, SingularityError
 from isolab import pvi_trajectory
 from isolab.pvi_trajectory import (
     PuiseuxSeries,
@@ -148,6 +149,20 @@ class TestSeeding:
         assert seed.x0 <= 1e-3
         assert seed.truncation_error <= 1e-8
 
+    def test_descent_rechecks_the_estimate_after_each_halving(self):
+        # seed 1002 draw 0 meets its target after 24 halvings, at 5.96e-13,
+        # below the descent's former floor of 1e-12
+        d = sample_parameters(SampleSpec(seed=1002, narrow=True), 0)
+        seed = seed_asymptotic(d, 1e-5, target_rel=1e-9)
+        assert seed.x0 == 1e-5 * 0.5 ** 24
+        assert seed.truncation_error <= 1e-9
+
+    def test_descent_stops_at_its_floor(self):
+        with pytest.raises(ConvergenceError, match="unattainable") as info:
+            seed_asymptotic(D_MIXED, 1e-3, target_rel=1e-300)
+        x_last = float(str(info.value).split("at x = ")[1].split()[0])
+        assert 1e-15 <= x_last < 2e-15
+
     def test_seed_point_validation(self):
         with pytest.raises(DomainError):
             seed_asymptotic(D_MIXED, 0.6)
@@ -234,6 +249,18 @@ class TestTrajectory:
         default = b_matrix(d, pt)
         explicit = b_matrix(d, pt, phi2=delta_k(arrow_q(d).phi0, 2))
         assert_allclose(default, explicit, rtol=0, atol=0)
+
+    def test_singularity_location_is_an_x_value(self, monkeypatch):
+        # the integration variable is t = log x; a singularity met at t is
+        # reported at x = e^t
+        def raising(f, t0, t1, y0, **kwargs):
+            raise SingularityError("step size collapsed", location=math.log(0.0371))
+
+        monkeypatch.setattr(pvi_trajectory, "integrate", raising)
+        seed = seed_asymptotic(D_MIXED, 1e-3, mode="three_term")
+        with pytest.raises(SingularityError) as info:
+            extend_trajectory(D_MIXED.thetas, seed, [0.05])
+        assert info.value.location == pytest.approx(0.0371, rel=1e-14)
 
 
 class TestExtrapolation:

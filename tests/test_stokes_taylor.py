@@ -1,6 +1,6 @@
 """Tests for the Taylor-recurrence continuation behind the numerical Stokes
 oracle, and for bridge draws whose lattice coefficients reach 2e8 or whose
-seed point lies near 1e-12.
+seed point lies near or below 1e-12.
 
 Independent oracles: the exact solution e^{Uz} z^{Phi} of a diagonal system
 on its tracked sheet, the Dormand-Prince integrator of ``ode_engine`` on a
@@ -179,3 +179,9 @@ class TestBridgeRegression:
         # 1e-13 * (1/3 - x0) would be 1-3% of x0; a fifth-order pair needed
         # smaller steps than that and raised a false SingularityError
         assert _bridged_entry_error(seed, 1) < TOL_STOKES_ENTRY
+
+    @pytest.mark.parametrize("seed, index", [(1002, 0), (1059, 1)])
+    def test_seeded_below_1e_12_bridges_and_agrees(self, seed, index):
+        # the seed's descent meets its target at 6e-13 and 3e-13; it once
+        # gave up one halving early, at a floor of 1e-12
+        assert _bridged_entry_error(seed, index) < TOL_STOKES_ENTRY

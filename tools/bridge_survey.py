@@ -12,10 +12,11 @@ Standard output is deterministic: the outcome counts (pass, typed errors by
 class, tolerance misses, numpy warnings, untyped exceptions), one line per
 draw that did not pass, and the median headroom log10(tol / err) of each
 check over the draws that returned.  Timings and work counts go to standard
-error: the total time spent in the lattice solve
-(``pvi_trajectory._solve_lattice_series``) and in ``stokes_matrices``, and
-the Taylor steps and terms that ``stokes_matrices`` reported, summed over the
-draws.
+error, summed over the draws: the time spent in the lattice solve
+(``pvi_trajectory._solve_lattice_series``); the time and the accepted and
+rejected DOP853 steps of the trajectory integration
+(``pvi_trajectory.integrate``); and the time in ``stokes_matrices`` with the
+Taylor steps and terms that it reported.
 """
 
 from __future__ import annotations
@@ -90,6 +91,21 @@ def main(argv: list[str] | None = None) -> int:
 
     pvi_trajectory._solve_lattice_series = timed_solve
 
+    step = pvi_trajectory.integrate
+    dop853: Counter = Counter()
+
+    def counted_integrate(*a, **k):
+        t0 = time.perf_counter()
+        try:
+            sol = step(*a, **k)
+        finally:
+            dop853["s"] += time.perf_counter() - t0
+        dop853["accepted"] += sol.naccept
+        dop853["rejected"] += sol.nreject
+        return sol
+
+    pvi_trajectory.integrate = counted_integrate
+
     seeds = range(args.seeds[0], args.seeds[1] + 1)
     outcomes: Counter = Counter()
     cost: Counter = Counter()
@@ -130,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         if headroom[c]:
             print(f"median headroom {c}: {statistics.median(headroom[c]):.2f}")
     print(f"lattice solve: {solve_s[0]:.2f} s", file=sys.stderr)
+    print(f"trajectory DOP853: {dop853['s']:.2f} s, {dop853['accepted']} accepted, "
+          f"{dop853['rejected']} rejected steps", file=sys.stderr)
     print(f"stokes_matrices: {cost['stokes_s']:.2f} s, {cost['steps']} steps, "
           f"{cost['terms']} terms", file=sys.stderr)
     return 0
