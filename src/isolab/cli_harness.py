@@ -330,6 +330,8 @@ def cmd_stokes(args) -> int:
             "diag_residual": num.diag_residual,
             "monodromy_mismatch": monodromy_mismatch(system, num.s_plus,
                                                      num.s_minus),
+            "radius": float(num.radius),
+            "series_order": num.order,
             "taylor_steps": num.steps,
             "taylor_terms": num.terms,
             "tail_bound": num.tail_bound,
@@ -355,11 +357,12 @@ def cmd_stokes(args) -> int:
         _write_csv(
             out / "stokes.csv",
             ["index", "entrywise_err", "triangularity_residual",
-             "diag_residual", "monodromy_mismatch", "taylor_steps",
-             "taylor_terms", "tail_bound", "pass"],
+             "diag_residual", "monodromy_mismatch", "radius", "series_order",
+             "taylor_steps", "taylor_terms", "tail_bound", "pass"],
             [[r["index"], r["entrywise_err"], r["triangularity_residual"],
-              r["diag_residual"], r["monodromy_mismatch"], r["taylor_steps"],
-              r["taylor_terms"], r["tail_bound"], int(r["pass"])]
+              r["diag_residual"], r["monodromy_mismatch"], r["radius"],
+              r["series_order"], r["taylor_steps"], r["taylor_terms"],
+              r["tail_bound"], int(r["pass"])]
              for r in results],
         )
     print(f"stokes: {args.samples - failures}/{args.samples} samples passed "

@@ -24,9 +24,13 @@ radius rho, around a semicircular polygon, and outward again, so the path
 never approaches the Fuchsian point.  The upper dumbbell is the exact
 negation of the lower one.
 
-Frames at |z| = R are produced by evaluating the (divergent, optimally
-truncated) formal series at 2R and continuing the value down the ray from 2R
-to R.  Triangularity and the diagonal law of the resulting matrices are
+Frames at |z| = R are produced by evaluating the (divergent) formal series
+at 2R and continuing the value down the ray from 2R to R.  The radius and the
+truncation order are planned together: R is ``default_radius``, and the order
+is the smallest m >= 9 whose term max|H_m| (2R)^-m is below 1e-3 rtol, or, if
+the terms start to grow before that, the order of the smallest term (optimal
+truncation: Boyd, "The Devil's invention", Acta Appl. Math. 56, 1999), at
+most 24.  Triangularity and the diagonal law of the resulting matrices are
 *checked*, never projected: a residual above tolerance raises
 :class:`AccuracyError`.
 
@@ -37,8 +41,10 @@ coefficients obey a three-term recurrence, one 3x3 product per term
 (holonomic continuation: van der Hoeven, Theor. Comput. Sci. 210, 1999;
 Mezzarobba, arXiv:1607.01967).  ``rtol`` bounds the summed truncation tail of
 each continuation; a step that needs more than ``_MAX_TERMS`` terms raises
-:class:`BudgetError`.  The result reports the steps, the terms and the summed
-tail.
+:class:`BudgetError`.  By default each arc of radius 1.5 is a polygon of 8
+chords; a chord (0.59) is shorter than half the distance to 0 (0.75), so it
+is one Taylor step unless the spread of u asks for shorter ones.  The result
+reports the steps, the terms and the summed tail.
 
 The four continuations come in two mirrored pairs: F- runs from -2R down to
 -R and around the upper dumbbell, which is F+'s path from 2R with z -> -z.
@@ -78,6 +84,14 @@ _PHASE_STEP = 3.0
 #: terms of a step of at most half the distance to 0 decay like 2^-k times a
 #: power of k.
 _MAX_TERMS = 400
+#: A planned series order keeps its last term below _SERIES_TAIL * rtol, and
+#: lies in [_MIN_ORDER, _MAX_ORDER].
+_SERIES_TAIL = 1e-3
+_MIN_ORDER = 9
+_MAX_ORDER = 24
+#: A Taylor step sums terms down to rtol / max(steps in the plan, _MIN_SHARE),
+#: so a short plan does not loosen the per-step threshold.
+_MIN_SHARE = 1000
 
 
 @dataclass(frozen=True)
@@ -127,15 +141,17 @@ class IrregularSystem:
 
 
 def default_radius(system: IrregularSystem) -> float:
-    """Extraction radius: far enough out that Phi/z is a small perturbation.
+    """Extraction radius max(20, 4 ||Phi||_2) / min(spacing, 1).
 
-    Scales inversely with the minimal u-spacing (which sets the growth of the
-    formal series coefficients).
+    Phi/z is then a small perturbation at |z| = R, and the formal series,
+    evaluated at 2R, reaches a tail of 1e-3 rtol (or its smallest term) by
+    order 24.  The radius scales inversely with the minimal u-spacing, which
+    sets the growth of the series coefficients.
     """
     u = system.u
     n = system.n
     spacing = min(abs(u[i] - u[j]) for i in range(n) for j in range(i + 1, n))
-    base = max(60.0, 12.0 * float(np.linalg.norm(system.phi, 2)))
+    base = max(20.0, 4.0 * float(np.linalg.norm(system.phi, 2)))
     return base / min(spacing, 1.0)
 
 
@@ -169,6 +185,26 @@ def formal_series_coefficients(system: IrregularSystem, order: int) -> list[np.n
     return hs
 
 
+def _planned_series(system: IrregularSystem, order: int | None, z_abs: float,
+                    rtol: float) -> list[np.ndarray]:
+    """Coefficients H_1..H_m of the series evaluated at |z| = ``z_abs``.
+
+    An explicit ``order`` is m.  Otherwise m is the smallest order from
+    _MIN_ORDER on whose term max|H_m| z_abs^-m is at most _SERIES_TAIL *
+    rtol; if the terms grow before that, the order of the smallest term; at
+    most _MAX_ORDER.
+    """
+    if order is not None:
+        return formal_series_coefficients(system, order)
+    hs = formal_series_coefficients(system, _MAX_ORDER)
+    terms = [float(np.max(np.abs(h))) * z_abs ** -m for m, h in enumerate(hs, 1)]
+    order = _MIN_ORDER
+    while (order < _MAX_ORDER and terms[order - 1] > _SERIES_TAIL * rtol
+           and terms[order] <= terms[order - 1]):
+        order += 1
+    return hs[:order]
+
+
 @dataclass
 class _TaylorWork:
     """Work of the Taylor continuation, summed over the steps it made."""
@@ -198,11 +234,11 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
     The steps are planned first, once for the whole stack: negating the
     polygon negates every (z0, h) of the plan exactly, and h / z0 is shared.
     ``rtol`` is shared among the steps: a step ends after two consecutive
-    terms of every frame fall below rtol / (number of steps) times that
-    frame's column scale max|F_col| + atol/rtol, so no frame sums fewer terms
-    than it would alone, and the summed tail of each frame's path (added to
-    ``work.tail``) stays near ``rtol``.  ``work`` counts the steps and terms
-    of every frame.
+    terms of every frame fall below rtol / max(number of steps, _MIN_SHARE)
+    times that frame's column scale max|F_col| + atol/rtol, so no frame sums
+    fewer terms than it would alone, and the summed tail of each frame's
+    path (added to ``work.tail``) stays below ``rtol``.  ``work`` counts the
+    steps and terms of every frame.
     """
     if not rtol > 0.0:
         raise DomainError("rtol must be positive")
@@ -226,7 +262,7 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
             plan.append((z, h))
             z += h
         plan.append((z, zb - z))
-    tol = rtol / max(len(plan), 1)
+    tol = rtol / max(len(plan), _MIN_SHARE)
     floor = atol / rtol
     f = np.asarray(f, dtype=complex)
     m = f.shape[0]
@@ -273,23 +309,24 @@ def _series_frame(system: IrregularSystem, z: complex, log_z: complex,
 
 
 def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
-                    order: int = 9, series_factor: float = 2.0,
+                    order: int | None = None, series_factor: float = 2.0,
                     rtol: float = 1e-12, atol: float = 1e-14,
                     hs: list[np.ndarray] | None = None) -> np.ndarray:
     """Canonical frame F(z) on the sheet fixed by ``log_z``.
 
-    Evaluates the optimally-truncated formal series at z * series_factor on
-    the same ray (where it is more accurate) and continues the value back to
-    z by Taylor steps of the system itself.
+    Evaluates the formal series at z * series_factor on the same ray (where
+    it is more accurate) and continues the value back to z by Taylor steps of
+    the system itself.  The series order is ``order``, or by default planned
+    from its tail at |z| * series_factor as in :func:`stokes_matrices`.
     """
     z = complex(z)
     if abs(cmath.exp(log_z) - z) > 1e-9 * abs(z):
         raise DomainError("log_z is not a logarithm of z")
     if series_factor < 1.0:
         raise DomainError("series_factor must be >= 1")
-    if hs is None:
-        hs = formal_series_coefficients(system, order)
     z2 = z * series_factor
+    if hs is None:
+        hs = _planned_series(system, order, abs(z2), rtol)
     f2 = _series_frame(system, z2, log_z + math.log(series_factor), hs)
     if series_factor == 1.0:
         return f2
@@ -332,7 +369,7 @@ def _arc(rho: float, theta0: float, theta1: float, n_arc: int) -> list[complex]:
 
 
 def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
-                    order: int = 9, rho: float = 1.5, n_arc: int = 64,
+                    order: int | None = None, rho: float = 1.5, n_arc: int = 8,
                     rtol: float = 1e-12, atol: float = 1e-14,
                     check_tol: float = 1e-5) -> StokesNumericResult:
     """Compute (S+, S-) numerically via dumbbell continuation.
@@ -341,13 +378,21 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     2R, F- from -2R) down to +-R, then (F+(R), F-(-R)) around the lower
     dumbbell and its negation.
 
+    The contour is planned from the formal series: R defaults to
+    :func:`default_radius`, and the series, evaluated at 2R, is truncated at
+    ``order`` or by default at the smallest order m >= 9 whose term
+    max|H_m| (2R)^-m is at most 1e-3 rtol (the order of the smallest term if
+    the terms grow first, at most 24).  Each arc of radius ``rho`` is a
+    polygon of ``n_arc`` chords.
+
     Raises :class:`AccuracyError` when the triangular structure or the
     diagonal law e^{-i pi phi_kk} fails beyond ``check_tol`` (relative).
     """
     r = default_radius(system) if radius is None else float(radius)
     if not rho < r / 4:
         raise DomainError(f"inner radius {rho} too large for extraction radius {r}")
-    hs = formal_series_coefficients(system, order)
+    hs = _planned_series(system, order, 2.0 * r, rtol)
+    order = len(hs)
     tail = float(np.max(np.abs(hs[-1]))) * (2.0 * r) ** (-order)
 
     ln_r2 = math.log(r) + math.log(2.0)

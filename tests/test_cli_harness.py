@@ -241,6 +241,18 @@ class TestStokesCommand:
         assert row["diag_residual"] < 1e-6
         assert row["monodromy_mismatch"] < 1e-6
 
+    def test_reports_contour_deterministically(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main(["stokes", "--samples", "1", "--out", str(out)]) == 0
+        for name in ("stokes.json", "stokes.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        row = read_json(out1 / "stokes.json")["results"][0]
+        # narrow draw 0 at seed 2026: radius 20, series planned to order 21
+        assert (row["radius"], row["series_order"]) == (20.0, 21)
+        header = (out1 / "stokes.csv").read_text().splitlines()[0].split(",")
+        assert header[5:8] == ["radius", "series_order", "taylor_steps"]
+
 
 class TestJmmsCommand:
     def test_small_configuration_passes(self, tmp_path, capsys):

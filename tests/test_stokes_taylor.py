@@ -21,12 +21,15 @@ from isolab.cli_harness import SampleSpec, U_BASE, bridged_phi_at_u0, sample_par
 from isolab.errors import BudgetError, DomainError
 from isolab.ode_engine import integrate
 from isolab.stokes_numeric import (IrregularSystem, canonical_frame, continue_frame,
-                                   default_radius, stokes_matrices)
+                                   default_radius, formal_series_coefficients,
+                                   stokes_matrices)
 
 U3 = np.array([0.0, 1.0j, 3.0j])
 PHI_DIAG = np.diag([0.21 + 0.1j, -0.33, 0.41 - 0.05j])
-#: TOL_STOKES_ENTRY of the acceptance gate (tests/test_acceptance.py)
+#: TOL_STOKES_ENTRY and TOL_STOKES_TRI of the acceptance gate
+#: (tests/test_acceptance.py)
 TOL_STOKES_ENTRY = 1e-6
+TOL_STOKES_TRI = 1e-6
 
 
 def _arc(rho, theta0, theta1, n=64):
@@ -107,9 +110,9 @@ class TestTaylorContinuation:
         assert first.steps > 0 and first.terms > first.steps
         assert (first.steps, first.terms, first.tail_bound) == (
             again.steps, again.terms, again.tail_bound)
-        # the step plan of the default contour (radius 60, 64-vertex arcs),
+        # the step plan of the default contour (radius 20, 8-chord arcs),
         # counted over the four continuations
-        assert first.steps == 310
+        assert first.steps == 78
         # four continuations, each holding its summed tail near rtol
         assert 0.0 < first.tail_bound < 4e-12
 
@@ -123,19 +126,20 @@ class TestTaylorContinuation:
             stokes_matrices(IrregularSystem(U3, PHI_DIAG), rtol=0.0)
 
 
-def _four_continuations(system: IrregularSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(S+, S-) composed from one-frame continuations at the default contour.
+def _four_continuations(system: IrregularSystem, r: float,
+                        order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S+, S-) composed from one-frame continuations on the contour of a
+    ``stokes_matrices`` run: radius ``r``, series ``order``, 8-chord arcs.
 
     Each canonical frame is made at its own base point, and each frame is
     continued along its own dumbbell, the upper one drawn from its own arc.
     """
-    r = default_radius(system)
     ln_r = math.log(r)
-    f_plus = canonical_frame(system, r, ln_r)
-    f_minus = canonical_frame(system, -r, ln_r - 1j * math.pi)
-    fp_cont = continue_frame(system, f_plus, [r] + _arc(1.5, 0.0, -math.pi) + [-r])
+    f_plus = canonical_frame(system, r, ln_r, order=order)
+    f_minus = canonical_frame(system, -r, ln_r - 1j * math.pi, order=order)
+    fp_cont = continue_frame(system, f_plus, [r] + _arc(1.5, 0.0, -math.pi, 8) + [-r])
     fm_cont = continue_frame(system, f_minus,
-                             [-r] + _arc(1.5, -math.pi, -2.0 * math.pi) + [r])
+                             [-r] + _arc(1.5, -math.pi, -2.0 * math.pi, 8) + [r])
     e_minus = np.exp(-1j * math.pi * np.diag(system.phi))
     return (e_minus[:, None] * np.linalg.solve(f_minus, fp_cont),
             np.linalg.solve(f_plus, fm_cont) / e_minus[None, :])
@@ -153,9 +157,54 @@ class TestStackedContinuation:
             system = IrregularSystem(U_BASE, bridged_phi_at_u0(d))
         got = stokes_matrices(system)
         for stacked, single in zip((got.s_plus, got.s_minus),
-                                   _four_continuations(system)):
+                                   _four_continuations(system, got.radius, got.order)):
             rel = np.max(np.abs(stacked - single)) / np.max(np.abs(single))
             assert rel <= 1e-12
+
+
+def _bridged_system(seed: int, index: int) -> IrregularSystem:
+    d = sample_parameters(SampleSpec(seed=seed, narrow=True), index)
+    return IrregularSystem(U_BASE, bridged_phi_at_u0(d))
+
+
+class TestContourPlan:
+    """The default contour is planned from the formal series."""
+
+    def test_order_is_smallest_meeting_the_tail(self):
+        system = _bridged_system(2026, 0)
+        got = stokes_matrices(system, rtol=1e-12)
+        assert got.radius == default_radius(system) == 20.0
+        hs = formal_series_coefficients(system, got.order)
+        terms = [float(np.max(np.abs(h))) * (2.0 * got.radius) ** -m
+                 for m, h in enumerate(hs, 1)]
+        target = 1e-3 * 1e-12
+        assert got.order == 21
+        assert terms[-1] <= target
+        assert all(t > target for t in terms[8:-1])
+        assert got.series_tail_estimate == terms[-1]
+
+    def test_step_tail_does_not_loosen_on_a_short_plan(self):
+        # every step of the 78-step plan of the radius-20, 8-chord-arc
+        # contour sums its terms down to rtol / 1000, not rtol / (steps in
+        # the plan)
+        rtol = 1e-12
+        got = stokes_matrices(IrregularSystem(U3, PHI_DIAG), radius=20.0, n_arc=8,
+                              rtol=rtol)
+        assert got.steps == 78
+        assert got.tail_bound <= 1e-3 * rtol * got.steps
+
+    def test_largest_radius_draw_agrees(self):
+        # seed 1046 draw 2 has the largest default radius (74) of the narrow
+        # draws 0-2 of seeds 1000-1199
+        d = sample_parameters(SampleSpec(seed=1046, narrow=True), 2)
+        closed = arrow_g(arrow_q(d))
+        num = stokes_matrices(IrregularSystem(U_BASE, bridged_phi_at_u0(d)),
+                              rtol=1e-12)
+        assert num.radius > 70.0
+        entry = max(float(np.max(np.abs(num.s_plus - closed.s_plus))),
+                    float(np.max(np.abs(num.s_minus - closed.s_minus))))
+        assert entry < TOL_STOKES_ENTRY
+        assert num.triangularity_residual < TOL_STOKES_TRI
 
 
 def _bridged_entry_error(seed: int, index: int) -> float:
