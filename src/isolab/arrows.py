@@ -34,7 +34,7 @@ from math import pi
 
 import numpy as np
 
-from .core_linalg import _eigen2, _eigen3, _minor, as_matrix, matrix_from_json, matrix_to_json
+from .core_linalg import _eigen2, _eigen3, _minor, as_matrix
 from .errors import DisambiguationError, DomainError, GammaPoleError
 from .special_fn import gamma_c, gamma_hat
 
@@ -55,12 +55,6 @@ __all__ = [
     "p23_p13_closed_form",
     "trace_identity_residual",
     "cubic_residual",
-    "pvi_data_to_json",
-    "pvi_data_from_json",
-    "monodromy_to_json",
-    "monodromy_from_json",
-    "stokes_pair_to_json",
-    "stokes_pair_from_json",
 ]
 
 #: Hard-error distance for Gamma poles / integer genericity checks.
@@ -775,75 +769,3 @@ def cubic_residual(m: MonodromyData) -> complex:
         + p1 * p2 * p3 * pi_
         - 4
     )
-
-
-# --------------------------------------------------------------------------
-# JSON codecs
-
-
-def _c2j(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _j2c(v) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise DomainError(f"expected [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
-
-
-def pvi_data_to_json(d: PviAsymptoticData) -> dict:
-    return {
-        "theta": [_c2j(t) for t in d.thetas],
-        "sigma": _c2j(d.sigma),
-        "J": _c2j(d.J),
-    }
-
-
-def pvi_data_from_json(obj: dict) -> PviAsymptoticData:
-    try:
-        theta = obj["theta"]
-        sigma = obj["sigma"]
-        jj = obj["J"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed asymptotic-data payload ({exc})") from exc
-    if len(theta) != 4:
-        raise DomainError("theta must list exactly four [re, im] pairs")
-    t = [_j2c(v) for v in theta]
-    return PviAsymptoticData(t[0], t[1], t[2], t[3], _j2c(sigma), _j2c(jj))
-
-
-def monodromy_to_json(m: MonodromyData) -> dict:
-    return {
-        "p12": _c2j(m.p12),
-        "p13": _c2j(m.p13),
-        "p23": _c2j(m.p23),
-        "p1": _c2j(m.p1),
-        "p2": _c2j(m.p2),
-        "p3": _c2j(m.p3),
-        "p_inf": _c2j(m.p_inf),
-    }
-
-
-def monodromy_from_json(obj: dict) -> MonodromyData:
-    try:
-        return MonodromyData(**{k: _j2c(obj[k]) for k in
-                                ("p12", "p13", "p23", "p1", "p2", "p3", "p_inf")})
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed monodromy payload ({exc})") from exc
-
-
-def stokes_pair_to_json(s: StokesPair) -> dict:
-    return {
-        "s_plus": matrix_to_json(s.s_plus),
-        "s_minus": matrix_to_json(s.s_minus),
-    }
-
-
-def stokes_pair_from_json(obj: dict) -> StokesPair:
-    try:
-        return StokesPair(
-            s_plus=matrix_from_json(obj["s_plus"]),
-            s_minus=matrix_from_json(obj["s_minus"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed Stokes payload ({exc})") from exc

@@ -12,7 +12,6 @@ Subcommands:
   compare numerically continued Stokes matrices against the closed form.
 * ``jmms``     -- consistency of the two independent forms of the
   deformation equations plus conservation drifts along random flow paths.
-* ``convert``  -- parse and canonically re-serialise the JSON payloads.
 
 Reports are byte-stable across reruns: keys are sorted, floats are emitted
 natively, and no timestamps or host data are recorded.  Sampling is
@@ -20,7 +19,7 @@ deterministic per (seed, index), so a draw does not depend on how many
 others are drawn.
 
 Exit codes: 0 all checks passed; 1 a computation failed or a tolerance was
-exceeded; 2 usage, configuration, or input-format error.
+exceeded; 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -44,16 +43,9 @@ from .arrows import (
     arrow_q,
     cubic_residual,
     genericity_margin,
-    monodromy_from_json,
-    monodromy_to_json,
     p23_p13_closed_form,
-    pvi_data_from_json,
-    pvi_data_to_json,
-    stokes_pair_from_json,
-    stokes_pair_to_json,
     trace_identity_residual,
 )
-from .core_linalg import matrix_from_json, matrix_to_json
 from .errors import ConfigError, DomainError, IsolabError, SingularityError
 from .jmms_flow import (
     diag_drift,
@@ -482,30 +474,6 @@ def cmd_jmms(args) -> int:
     return 0 if failures == 0 else 1
 
 
-_CODECS = {
-    "pvi": (pvi_data_from_json, pvi_data_to_json),
-    "monodromy": (monodromy_from_json, monodromy_to_json),
-    "stokes": (stokes_pair_from_json, stokes_pair_to_json),
-    "matrix": (matrix_from_json, matrix_to_json),
-}
-
-
-def cmd_convert(args) -> int:
-    decode, encode = _CODECS[args.kind]
-    try:
-        payload = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-        obj = decode(payload)
-    except (OSError, json.JSONDecodeError, DomainError) as exc:
-        raise ConfigError(f"cannot read {args.kind} payload: {exc}") from exc
-    text = json.dumps(encode(obj), sort_keys=True, indent=2) + "\n"
-    if args.outfile:
-        Path(args.outfile).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.outfile).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 # --------------------------------------------------------------------------
 # parser
 
@@ -566,12 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reach", type=float, default=1e10)
     p.add_argument("--tol-band", type=float, default=1e-3)
     p.set_defaults(func=cmd_jmms)
-
-    p = sub.add_parser("convert", help="validate and re-serialise a JSON payload")
-    p.add_argument("--kind", choices=sorted(_CODECS), required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.set_defaults(func=cmd_convert)
 
     return parser
 

@@ -10,9 +10,6 @@ and ``minor`` are that validation followed by a call to the private kernels
 ``_eigen2``, ``_eigen3`` and ``_minor``, which trust an already-validated
 ``complex128`` matrix; callers that hold one (a block of an ``as_matrix``
 result, say) call the kernels directly.
-
-The module also owns the JSON wire format for complex matrices:
-``{"n": n, "re": [[...]], "im": [[...]]}`` with row-major nested lists.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ __all__ = [
     "minor",
     "diag_conjugate",
     "matrix_power_scalar",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 #: Relative tolerance below which eigenvalue pairs are flagged degenerate.
@@ -270,26 +265,3 @@ def matrix_power_scalar(a, s: complex, log_s: complex | None = None) -> np.ndarr
     d = np.array([np.exp(log_s * l1), np.exp(log_s * l2)], dtype=complex)
     out[:2, :2] = v @ np.diag(d) @ np.linalg.inv(v)
     return out
-
-
-def matrix_to_json(a) -> dict:
-    """Encode a complex matrix as the shared JSON structure (row-major re/im)."""
-    m = as_matrix(a)
-    return {
-        "n": int(m.shape[0]),
-        "re": [[float(x.real) for x in row] for row in m],
-        "im": [[float(x.imag) for x in row] for row in m],
-    }
-
-
-def matrix_from_json(d: dict) -> np.ndarray:
-    """Decode the shared JSON matrix structure, validating shape consistency."""
-    try:
-        n = int(d["n"])
-        re = d["re"]
-        im = d["im"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"matrix_from_json: malformed payload ({exc})") from exc
-    if len(re) != n or len(im) != n or any(len(r) != n for r in re) or any(len(r) != n for r in im):
-        raise DomainError("matrix_from_json: re/im shapes inconsistent with n")
-    return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)

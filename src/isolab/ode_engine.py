@@ -9,9 +9,11 @@ eighth-order pair takes several times fewer steps than a fifth-order one.
 
 Failure modes are explicit: a step size collapsing below 1e-13 of the
 current |t| raises :class:`SingularityError` (the trajectory is running into
-a pole), and exceeding the step budget raises :class:`BudgetError`.  The
-floor follows |t|, so an integration started at t0 = 1e-15 may take steps of
-1e-17; a backstop of 1e-28 of the span stops a pole at or through t = 0.
+a pole), as does a right-hand side that divides by zero, located at the
+start of the failing step; exceeding the step budget raises
+:class:`BudgetError`.  The floor follows |t|, so an integration started at
+t0 = 1e-15 may take steps of 1e-17; a backstop of 1e-28 of the span stops a
+pole at or through t = 0.
 """
 
 from __future__ import annotations
@@ -162,57 +164,64 @@ def integrate(
     backstop = _HMIN_BACKSTOP * span
 
     k = np.empty((13, y.shape[0]), dtype=complex)  # the stages of one step
-    k[0] = f(t0, y)
-    nfev = 1
-    if fixed_step is not None:
-        if fixed_step <= 0:
-            raise DomainError("fixed_step must be positive")
-        h = float(fixed_step)
-    else:
-        h, extra = _initial_step(f, t0, y, k[0], direction, span, rtol, atol)
-        nfev += extra
-
     t = t0
-    naccept = nreject = 0
-    errold = 1e-4
-    facmax = _FACMAX
-
-    while (t1 - t) * direction > 0:
-        if naccept + nreject >= max_steps:
-            raise BudgetError(
-                f"step budget {max_steps} exhausted at t={t} "
-                f"({naccept} accepted, {nreject} rejected)"
-            )
-        if h < max(_HMIN_FRACTION * abs(t), backstop):
-            raise SingularityError(
-                f"step size collapsed to {h:.3e} (span {span:.3e})", location=t
-            )
-        last = h >= abs(t1 - t)
-        if last:
-            h = abs(t1 - t)
-        hd = h * direction
-
-        for i in range(1, 13):
-            y_new = y + hd * (_A[i - 1] @ k[:i])
-            k[i] = f(t + _C[i - 1] * hd, y_new)
-        nfev += 12
-        err = _error_norm(_E @ k, hd, y, y_new, rtol, atol)
-
-        if fixed_step is not None or err <= 1.0:
-            t = t1 if last else t + hd
-            y = y_new
-            k[0] = k[12]  # FSAL
-            naccept += 1
-            if fixed_step is None:
-                err = max(err, 1e-30)
-                fac = _SAFETY * err ** (-_EXPO_ERR) * errold ** (_EXPO_OLD)
-                h *= min(facmax, max(_FACMIN, fac))
-                errold = max(err, 1e-4)
-                facmax = _FACMAX
+    if fixed_step is not None and fixed_step <= 0:
+        raise DomainError("fixed_step must be positive")
+    try:
+        k[0] = f(t0, y)
+        nfev = 1
+        if fixed_step is not None:
+            h = float(fixed_step)
         else:
-            nreject += 1
-            fac = _SAFETY * err ** (-_EXPO_ERR)
-            h *= min(1.0, max(_FACMIN, fac))
-            facmax = 1.0
+            h, extra = _initial_step(f, t0, y, k[0], direction, span, rtol, atol)
+            nfev += extra
+
+        naccept = nreject = 0
+        errold = 1e-4
+        facmax = _FACMAX
+
+        while (t1 - t) * direction > 0:
+            if naccept + nreject >= max_steps:
+                raise BudgetError(
+                    f"step budget {max_steps} exhausted at t={t} "
+                    f"({naccept} accepted, {nreject} rejected)"
+                )
+            if h < max(_HMIN_FRACTION * abs(t), backstop):
+                raise SingularityError(
+                    f"step size collapsed to {h:.3e} (span {span:.3e})", location=t
+                )
+            last = h >= abs(t1 - t)
+            if last:
+                h = abs(t1 - t)
+            hd = h * direction
+
+            for i in range(1, 13):
+                y_new = y + hd * (_A[i - 1] @ k[:i])
+                k[i] = f(t + _C[i - 1] * hd, y_new)
+            nfev += 12
+            err = _error_norm(_E @ k, hd, y, y_new, rtol, atol)
+
+            if fixed_step is not None or err <= 1.0:
+                t = t1 if last else t + hd
+                y = y_new
+                k[0] = k[12]  # FSAL
+                naccept += 1
+                if fixed_step is None:
+                    err = max(err, 1e-30)
+                    fac = _SAFETY * err ** (-_EXPO_ERR) * errold ** (_EXPO_OLD)
+                    h *= min(facmax, max(_FACMIN, fac))
+                    errold = max(err, 1e-4)
+                    facmax = _FACMAX
+            else:
+                nreject += 1
+                fac = _SAFETY * err ** (-_EXPO_ERR)
+                h *= min(1.0, max(_FACMIN, fac))
+                facmax = 1.0
+    except ZeroDivisionError as exc:
+        # t is the start of the step whose stage divided by zero (t0 for the
+        # first evaluations)
+        raise SingularityError(
+            f"right-hand side divided by zero in the step from t={t} ({exc})",
+            location=t) from exc
 
     return OdeSolution(t0, t1, y, nfev, naccept, nreject)

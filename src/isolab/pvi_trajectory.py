@@ -26,9 +26,9 @@ From a trajectory point one assembles the residue matrix Omega(x) of the
 associated linear system; conjugating by x^{dPhi} and by the matrix power of
 the truncated boundary value produces the regularised families A(x) and B(x)
 whose x -> 0 limits recover the truncated and the full boundary value.  The
-module fits those limits from a geometric ladder of sample points, both with
-a free single-power model (which also estimates the decay exponent) and with
-a linear least-squares model in the known correction powers.
+module fits those limits from a geometric ladder of sample points with a
+linear least-squares model in the known correction powers; a free
+single-power model fitted to the same ladder estimates the decay exponent.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "gamma_exponents",
     "pvi_rhs",
     "seed_asymptotic",
-    "seed_logarithmic",
     "extend_trajectory",
     "omega_from_state",
     "a_matrix",
@@ -475,43 +474,23 @@ def _w_series(d: PviAsymptoticData, y: PuiseuxSeries, x: PuiseuxSeries,
 
 
 def seed_asymptotic(d: PviAsymptoticData, x0: float, cutoff_rel: float = 2.2,
-                    mode: str = "auto", target_rel: float | None = None,
-                    ) -> TrajectorySeed:
+                    target_rel: float | None = None) -> TrajectorySeed:
     """Seed the trajectory at a small x0 from the critical expansion at 0.
 
-    ``mode``: "lattice" (Puiseux series solved by forward substitution,
-    interior sigma), "three_term" (explicit three-term expansion, intended
-    for the oscillatory boundary Re sigma = 0), or "auto".
+    The expansion is the Puiseux lattice series, solved by forward
+    substitution; ``d`` must be generic (``validate_generic``), so Re sigma
+    lies strictly inside (0, 1).
 
-    When ``target_rel`` is given (lattice mode), the seed point is halved
-    below ``x0`` as needed until the estimated relative truncation error of
-    the series drops under the target; the caller must read the seed point
-    back from the result.  Near the strip edges the series coefficients grow
+    When ``target_rel`` is given, the seed point is halved below ``x0`` as
+    needed until the estimated relative truncation error of the series drops
+    under the target; the caller must read the seed point back from the
+    result.  Near the strip edges the series coefficients grow
     geometrically, so the usable seed point can be orders of magnitude
     smaller there.  The descent stops at 1e-15 and raises
     ``ConvergenceError`` if the estimate is still above the target there.
     """
     if not 0 < x0 < 0.5:
         raise DomainError("seed point must satisfy 0 < x0 < 1/2")
-    if mode == "auto":
-        mode = "three_term" if abs(d.sigma.real) < 1e-12 else "lattice"
-    t1, t2 = d.theta1, d.theta2
-    sigma, J = d.sigma, d.J
-    if mode == "three_term":
-        if abs(sigma) < 1e-12:
-            raise DomainError("sigma = 0: use seed_logarithmic")
-        s2 = sigma * sigma
-        j1 = (s2 - (t1 - t2) ** 2) * (s2 - (t1 + t2) ** 2) / (16 * s2 * s2 * J)
-        j2 = (t1 * t1 - t2 * t2 + s2) / (2 * s2)
-        xs = cmath.exp((1 - sigma) * math.log(x0))
-        xl = cmath.exp((1 + sigma) * math.log(x0))
-        y0 = J * xs + j1 * xl + j2 * x0
-        yp0 = J * (1 - sigma) * xs / x0 + j1 * (1 + sigma) * xl / x0 + j2
-        g1, g2 = gamma_exponents(d.thetas, sigma)
-        return TrajectorySeed(x0, y0, yp0, g1 * math.log(x0), g2 * math.log(x0),
-                              truncation_error=float(x0))
-    if mode != "lattice":
-        raise DomainError(f"unknown seed mode {mode!r}")
     bad = validate_generic(d)
     if bad:
         raise DomainError("seed_asymptotic: " + "; ".join(bad))
@@ -548,25 +527,6 @@ def seed_asymptotic(d: PviAsymptoticData, x0: float, cutoff_rel: float = 2.2,
     w1 = gammas[0] * lx + prims[0].evaluate(x_use)
     w2 = gammas[1] * lx + prims[1].evaluate(x_use)
     return TrajectorySeed(x_use, y0, yp0, w1, w2, truncation_error=est(x_use))
-
-
-def seed_logarithmic(thetas: tuple[complex, complex, complex, complex],
-                     j_tilde: complex, x0: float) -> TrajectorySeed:
-    """Seed for the logarithmic regime sigma = 0 (requires theta1 != +/- theta2)."""
-    t1, t2 = complex(thetas[0]), complex(thetas[1])
-    dsq = t1 * t1 - t2 * t2
-    if abs(dsq) < 1e-9:
-        raise DomainError("logarithmic seed requires theta1 != +/- theta2")
-    if not 0 < x0 < 0.5:
-        raise DomainError("seed point must satisfy 0 < x0 < 1/2")
-    ell = math.log(x0) + 2 * j_tilde / dsq
-    q = t1 * t1 / dsq
-    y0 = x0 * ((t2 * t2 - t1 * t1) / 4 * ell * ell + q)
-    yp0 = (t2 * t2 - t1 * t1) / 4 * ell * ell + q + (t2 * t2 - t1 * t1) / 2 * ell
-    g1 = (t1 - t2) / 2
-    g2 = (-t1 + t2) / 2
-    return TrajectorySeed(x0, y0, yp0, g1 * math.log(x0), g2 * math.log(x0),
-                          truncation_error=float(x0))
 
 
 # --------------------------------------------------------------------------
@@ -760,7 +720,6 @@ class LimitReport:
     b_values: list[np.ndarray]
     a_limit: np.ndarray
     b_limit: np.ndarray
-    b_limit_single: np.ndarray
     decay_exponent: float | None
     y_correction_exponent: float | None
     degraded: bool
@@ -829,11 +788,6 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
             if p is not None and amp > 1e-6 * scale:
                 exps.append(p)
     decay = float(np.median(np.asarray(exps))) if exps else None
-    b_limit_single = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            lim, _, _ = extrapolate_single_power(xs, [bv[i, j] for bv in b_vals])
-            b_limit_single[i, j] = lim
     b_limit = extrapolate_known_powers(xs, b_vals, powers)
     s = d.sigma.real
     # confidence degrades near the strip boundary and when distinct correction
@@ -845,6 +799,5 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
     )
     degraded = min(s, 1.0 - s) < 0.12 or power_gap < 0.05
     return LimitReport(xs=xs, a_values=a_vals, b_values=b_vals, a_limit=a_limit,
-                       b_limit=b_limit, b_limit_single=b_limit_single,
-                       decay_exponent=decay, y_correction_exponent=y_exp,
-                       degraded=degraded, seed=seed)
+                       b_limit=b_limit, decay_exponent=decay,
+                       y_correction_exponent=y_exp, degraded=degraded, seed=seed)

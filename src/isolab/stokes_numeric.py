@@ -310,8 +310,7 @@ def _series_frame(system: IrregularSystem, z: complex, log_z: complex,
 
 def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
                     order: int | None = None, series_factor: float = 2.0,
-                    rtol: float = 1e-12, atol: float = 1e-14,
-                    hs: list[np.ndarray] | None = None) -> np.ndarray:
+                    rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
     """Canonical frame F(z) on the sheet fixed by ``log_z``.
 
     Evaluates the formal series at z * series_factor on the same ray (where
@@ -325,8 +324,7 @@ def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
     if series_factor < 1.0:
         raise DomainError("series_factor must be >= 1")
     z2 = z * series_factor
-    if hs is None:
-        hs = _planned_series(system, order, abs(z2), rtol)
+    hs = _planned_series(system, order, abs(z2), rtol)
     f2 = _series_frame(system, z2, log_z + math.log(series_factor), hs)
     if series_factor == 1.0:
         return f2

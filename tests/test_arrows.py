@@ -30,13 +30,7 @@ from isolab.arrows import (
     arrow_q_sigma0,
     cubic_residual,
     genericity_margin,
-    monodromy_from_json,
-    monodromy_to_json,
     p23_p13_closed_form,
-    pvi_data_from_json,
-    pvi_data_to_json,
-    stokes_pair_from_json,
-    stokes_pair_to_json,
     trace_identity_residual,
     validate_generic,
 )
@@ -472,36 +466,3 @@ class TestAlgebraicIdentities:
             m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
             sigma, _ = arrow_f(m, d.thetas)
             assert 0.0 <= sigma.real < 1.0
-
-
-class TestJsonCodecs:
-    """Serialisation rountrips and malformed-payload rejection."""
-
-    def test_pvi_data_roundtrip(self):
-        d = FIXED
-        back = pvi_data_from_json(pvi_data_to_json(d))
-        assert back == d
-
-    def test_monodromy_roundtrip(self):
-        m = arrow_p(arrow_g(arrow_q(FIXED)), FIXED.thetas)
-        back = monodromy_from_json(monodromy_to_json(m))
-        assert back == m
-
-    def test_stokes_roundtrip(self):
-        s = arrow_g(arrow_q(FIXED))
-        back = stokes_pair_from_json(stokes_pair_to_json(s))
-        assert np.array_equal(back.s_plus, s.s_plus)
-        assert np.array_equal(back.s_minus, s.s_minus)
-
-    @pytest.mark.parametrize(
-        "codec, payload",
-        [
-            (pvi_data_from_json, {}),
-            (pvi_data_from_json, {"theta": [[0, 0]] * 3, "sigma": [0.5, 0], "J": [1, 0]}),
-            (monodromy_from_json, {"p12": [1, 0]}),
-            (stokes_pair_from_json, {"s_plus": None, "s_minus": None}),
-        ],
-    )
-    def test_malformed_payloads_rejected(self, codec, payload):
-        with pytest.raises(DomainError):
-            codec(payload)

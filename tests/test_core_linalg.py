@@ -20,9 +20,7 @@ from isolab.core_linalg import (
     diag_conjugate,
     eigen2,
     eigen3,
-    matrix_from_json,
     matrix_power_scalar,
-    matrix_to_json,
     minor,
 )
 from isolab.errors import DegenerateSpectrumError, DomainError
@@ -319,17 +317,3 @@ class TestMatrixPowerScalar:
         np.testing.assert_allclose(np.diag(got),
                                    np.exp(1j * cmath.pi * np.array([1, 2, 3])),
                                    rtol=1e-12)
-
-
-class TestJsonCodec:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(51)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        back = matrix_from_json(matrix_to_json(m))
-        np.testing.assert_array_equal(back, m)
-
-    def test_malformed_payloads(self):
-        with pytest.raises(DomainError):
-            matrix_from_json({"n": 2, "re": [[1.0]], "im": [[0.0]]})
-        with pytest.raises(DomainError):
-            matrix_from_json({"re": [[1.0]], "im": [[0.0]]})

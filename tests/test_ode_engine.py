@@ -148,6 +148,13 @@ class TestFailureModes:
             integrate(rhs, t0, t1, np.array([1.0 + 0j]), max_steps=1000)
         assert abs(complex(exc.value.location)) < 1e-10
 
+    def test_division_by_zero_in_rhs_is_a_singularity(self):
+        # the last stage of the step from t = -0.5 evaluates 1/t at t = 0
+        with pytest.raises(SingularityError) as exc:
+            integrate(lambda t, y: np.array([1.0 / t]), -1.0, 1.0, [0.0],
+                      fixed_step=0.5)
+        assert exc.value.location == -0.5
+
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             integrate(lambda t, y: np.sin(50.0 * t) * y, 0.0, 100.0,

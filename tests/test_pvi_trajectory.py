@@ -23,6 +23,7 @@ from isolab.errors import ConvergenceError, DomainError, SingularityError
 from isolab import pvi_trajectory
 from isolab.pvi_trajectory import (
     PuiseuxSeries,
+    TrajectorySeed,
     _basis_series,
     _check_cancellation,
     _residual_series,
@@ -38,7 +39,6 @@ from isolab.pvi_trajectory import (
     pvi_rhs,
     regularized_limits,
     seed_asymptotic,
-    seed_logarithmic,
 )
 
 D_REAL = PviAsymptoticData(0.21, -0.33, 0.41, 0.52, 0.5, 1.1)
@@ -46,6 +46,14 @@ D_COMPLEX = PviAsymptoticData(0.21 + 0.04j, -0.33 - 0.06j, 0.41 + 0.07j,
                               0.52 - 0.03j, 0.3 + 0.1j, 1.1 - 0.4j)
 D_MIXED = PviAsymptoticData(0.21 + 0.05j, -0.33 - 0.11j, 0.41 + 0.07j,
                             0.52 - 0.09j, 0.445 + 0.12j, 1.1 * cmath.exp(0.7j))
+
+
+def leading_order_seed(d: PviAsymptoticData, x0: float) -> TrajectorySeed:
+    """The leading term y = J x^(1-sigma) as a seed, for tests that need no accuracy."""
+    g1, g2 = gamma_exponents(d.thetas, d.sigma)
+    return TrajectorySeed(x0, d.J * x0 ** (1 - d.sigma),
+                          d.J * (1 - d.sigma) * x0 ** -d.sigma,
+                          g1 * math.log(x0), g2 * math.log(x0), truncation_error=x0)
 
 
 class TestPuiseuxSeries:
@@ -112,25 +120,15 @@ class TestPuiseuxSeries:
 class TestSeeding:
     """Series seeds for the trajectory near x = 0."""
 
-    def test_three_term_trivial_coefficients(self):
-        # at theta1 = theta2 = 0 the subleading coefficients collapse to
-        # 1/(16 J) and 1/2
-        d = PviAsymptoticData(0.0, 0.0, 0.41, 0.52, 0.45, 1.3 - 0.2j)
-        x0 = 1e-4
-        seed = seed_asymptotic(d, x0, mode="three_term")
-        s, J = d.sigma, d.J
-        want_y = J * x0 ** (1 - s) + x0 ** (1 + s) / (16 * J) + x0 / 2
-        want_yp = (J * (1 - s) * x0 ** (-s) + (1 + s) * x0 ** s / (16 * J) + 0.5)
-        assert_allclose(seed.y, want_y, rtol=1e-13)
-        assert_allclose(seed.yp, want_yp, rtol=1e-13)
-        g1, g2 = gamma_exponents(d.thetas, s)
-        assert_allclose(seed.w1, g1 * np.log(x0), rtol=1e-13)
-        assert_allclose(seed.w2, g2 * np.log(x0), rtol=1e-13)
-
     def test_lattice_agrees_with_three_term_at_leading_orders(self):
-        seed_l = seed_asymptotic(D_MIXED, 1e-4, mode="lattice")
-        seed_3 = seed_asymptotic(D_MIXED, 1e-4, mode="three_term")
-        assert abs(seed_l.y - seed_3.y) / abs(seed_l.y) < 0.05
+        # reference: the explicit three-term expansion J x^(1-s) + j1 x^(1+s) + j2 x
+        d, x0 = D_MIXED, 1e-4
+        t1, t2, s, J = d.theta1, d.theta2, d.sigma, d.J
+        j1 = (s * s - (t1 - t2) ** 2) * (s * s - (t1 + t2) ** 2) / (16 * s ** 4 * J)
+        j2 = (t1 * t1 - t2 * t2 + s * s) / (2 * s * s)
+        three_term = J * x0 ** (1 - s) + j1 * x0 ** (1 + s) + j2 * x0
+        seed = seed_asymptotic(d, x0)
+        assert abs(seed.y - three_term) / abs(seed.y) < 0.05
 
     def test_seed_then_integrate_matches_higher_seed(self):
         # integrate up from a deep seed and compare against seeding directly
@@ -138,7 +136,7 @@ class TestSeeding:
         # itself is only defined modulo the integration path)
         s_lo = seed_asymptotic(D_MIXED, 1e-4, target_rel=1e-10)
         pt = extend_trajectory(D_MIXED.thetas, s_lo, [1e-3], rtol=1e-12)[0]
-        s_hi = seed_asymptotic(D_MIXED, 1e-3, mode="lattice")
+        s_hi = seed_asymptotic(D_MIXED, 1e-3)
         assert abs(pt.y - s_hi.y) / abs(s_hi.y) < 1e-6
         assert abs(pt.yp - s_hi.yp) / abs(s_hi.yp) < 5e-6
         assert abs(pt.k1 - cmath.exp(s_hi.w1)) / abs(cmath.exp(s_hi.w1)) < 1e-6
@@ -166,39 +164,23 @@ class TestSeeding:
     def test_seed_point_validation(self):
         with pytest.raises(DomainError):
             seed_asymptotic(D_MIXED, 0.6)
-        with pytest.raises(DomainError):
-            seed_asymptotic(D_MIXED, 1e-3, mode="mystery")
 
-    def test_three_term_rejects_sigma_zero(self):
-        d = PviAsymptoticData(0.25, -0.52, 0.31, 0.47, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            seed_asymptotic(d, 1e-4, mode="three_term")
-
-    def test_logarithmic_seed_self_consistency(self):
-        # corrections in the log regime decay only logarithmically, so the
-        # tolerance here is much looser than in the power-law regime
-        thetas = (0.25, -0.52, 0.31, 0.47)
-        s_lo = seed_logarithmic(thetas, 0.37, 1e-6)
-        pt = extend_trajectory(thetas, s_lo, [1e-4], rtol=1e-12)[0]
-        s_hi = seed_logarithmic(thetas, 0.37, 1e-4)
-        assert abs(pt.y - s_hi.y) / abs(s_hi.y) < 5e-3
-        assert abs(pt.yp - s_hi.yp) / abs(s_hi.yp) < 5e-3
-
-    def test_logarithmic_seed_requires_distinct_thetas(self):
-        with pytest.raises(DomainError):
-            seed_logarithmic((0.3, 0.3, 0.1, 0.5), 1.0, 1e-4)
+    def test_re_sigma_zero_is_refused(self):
+        d = PviAsymptoticData(0.25, -0.52, 0.31, 0.47, 0.3j, 1.0)
+        with pytest.raises(DomainError, match=r"Re\(sigma\) = 0.0 is not in \(0, 1\)"):
+            seed_asymptotic(d, 1e-4)
 
 
 class TestTrajectory:
     """Upward integration and the residue matrices along the trajectory."""
 
     def test_extend_rejects_targets_below_seed(self):
-        seed = seed_asymptotic(D_MIXED, 1e-3, mode="three_term")
+        seed = leading_order_seed(D_MIXED, 1e-3)
         with pytest.raises(DomainError):
             extend_trajectory(D_MIXED.thetas, seed, [1e-4])
 
     def test_extend_empty_targets(self):
-        seed = seed_asymptotic(D_MIXED, 1e-3, mode="three_term")
+        seed = leading_order_seed(D_MIXED, 1e-3)
         assert extend_trajectory(D_MIXED.thetas, seed, []) == []
 
     def test_tolerance_consistency(self):
@@ -257,7 +239,7 @@ class TestTrajectory:
             raise SingularityError("step size collapsed", location=math.log(0.0371))
 
         monkeypatch.setattr(pvi_trajectory, "integrate", raising)
-        seed = seed_asymptotic(D_MIXED, 1e-3, mode="three_term")
+        seed = leading_order_seed(D_MIXED, 1e-3)
         with pytest.raises(SingularityError) as info:
             extend_trajectory(D_MIXED.thetas, seed, [0.05])
         assert info.value.location == pytest.approx(0.0371, rel=1e-14)
@@ -311,7 +293,6 @@ class TestRegularizedLimits:
         rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)
         phi0 = arrow_q(D_REAL).phi0
         assert np.max(np.abs(rep.b_limit - phi0)) < 1e-5
-        assert np.max(np.abs(rep.b_limit_single - phi0)) < 1e-4
 
     def test_a_family_converges_to_truncated_boundary_value(self):
         rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)

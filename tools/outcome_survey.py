@@ -10,10 +10,12 @@ capture as a timed run:
 
 Standard output is deterministic: one line per failed operation (seed,
 index, kind, failure class, detail), a ``failed/attempted`` table per seed,
-and the SHA-256 digest of every operation's seed, index and failure class
-and every check's ``(name, repr(error))``, so two versions of the code can
-be compared with ``diff``.  It needs only numpy and is run from the
-repository root.
+perfbench's per-kind operation counts and median headroom log10(tol / err)
+of each check over every seed, and the SHA-256 digest of every operation's
+seed, index and failure class and every check's ``(name, repr(error))``, so
+two versions of the code can be compared with ``diff``.  It needs only numpy
+and is run from the repository root.  Per-layer timings are not reported
+here; ``perfbench/run.py --trace 1`` reports them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 # perfbench's run module pins the BLAS threads before numpy loads
-from run import attempt, import_isolab, load_tolerances  # noqa: E402
+from run import Tally, attempt, import_isolab, load_tolerances, print_checks  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -48,6 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     np.seterr(divide="warn", over="warn", invalid="warn", under="ignore")
 
     digest = hashlib.sha256()
+    tally = Tally(known_misses=workload.known_misses)
     table = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -56,6 +59,8 @@ def main(argv: list[str] | None = None) -> int:
             failed = 0
             for index, item in enumerate(items):
                 failure, checks, detail = attempt(workload, lib, tol, item, caught)
+                # each (seed, index) is a distinct input of its kind
+                tally.add(tally.attempted, workload.kind(item), failure, checks, detail)
                 digest.update(f"{seed} {index} {failure}\n".encode())
                 for name, err, _ in checks or ():
                     digest.update(f"{name} {err!r}\n".encode())
@@ -70,6 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     for seed, failed, attempted in table:
         print(f"{seed} {failed}/{attempted}")
     print(f"total {sum(t[1] for t in table)}/{sum(t[2] for t in table)}")
+    print_checks(tally)
     print(f"sha256 {digest.hexdigest()}")
     return 0
 
