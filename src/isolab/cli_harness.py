@@ -1,17 +1,19 @@
-"""Command-line driver: deterministic sampling, cross-checks, reports.
+"""Command-line driver: deterministic sampling, the checks, reports.
 
-Subcommands:
+Each check is defined here once, as a function of an operation's inputs and
+outputs that returns ``(name, error)`` pairs; the subcommands, the acceptance
+tests and the tools call it and hold the tolerances.  Subcommands:
 
-* ``roundtrip`` -- sample asymptotic data, push it around the closed-form
-  cycle (boundary value -> Stokes pair -> traces -> back to (sigma, J)) and
-  report the round-trip errors together with the trace-cubic residual, the
-  p12 law, and the leading-coefficient trace identity.
+* ``roundtrip`` -- push sampled asymptotic data around the closed-form cycle
+  (boundary value -> Stokes pair -> traces -> back to (sigma, J)) and gate
+  the round trip, the trace cubic, the p12 law and the trace identity.
 * ``limits``   -- drive the Painleve VI trajectory oracle for one sigma and
-  compare the extrapolated regularised limit against the closed form.
+  gate its limit against the closed form, and its correction exponent
+  unless the ladder is degraded.
 * ``stokes``   -- bridge a trajectory to the three-point u-configuration and
-  compare numerically continued Stokes matrices against the closed form.
-* ``jmms``     -- consistency of the two independent forms of the
-  deformation equations plus conservation drifts along random flow paths.
+  gate the numerical Stokes matrices entrywise against the closed form.
+* ``jmms``     -- gate the two forms of the deformation equations against
+  each other, the drifts along random flow paths and the band of rays.
 
 Reports are byte-stable across reruns: keys are sorted, floats are emitted
 natively, and no timestamps or host data are recorded.  Sampling is
@@ -36,7 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from .arrows import (
+    MonodromyData,
     PviAsymptoticData,
+    StokesPair,
     arrow_f,
     arrow_g,
     arrow_p,
@@ -48,6 +52,7 @@ from .arrows import (
 )
 from .errors import ConfigError, DomainError, IsolabError, SingularityError
 from .jmms_flow import (
+    ShrinkReport,
     diag_drift,
     flow_path,
     jmms_rhs,
@@ -57,12 +62,14 @@ from .jmms_flow import (
     spectral_drift,
 )
 from .pvi_trajectory import (
+    LimitReport,
     extend_trajectory,
     omega_from_state,
     regularized_limits,
     seed_asymptotic,
 )
-from .stokes_numeric import IrregularSystem, monodromy_mismatch, stokes_matrices
+from .stokes_numeric import (IrregularSystem, StokesNumericResult, monodromy_mismatch,
+                             stokes_matrices)
 
 __all__ = [
     "SampleSpec",
@@ -70,6 +77,12 @@ __all__ = [
     "U_BASE",
     "BRIDGE_SHEET",
     "bridged_phi_at_u0",
+    "closed_form_checks",
+    "stokes_checks",
+    "ladder_checks",
+    "flow_checks",
+    "shrink_checks",
+    "rhs_checks",
     "main",
 ]
 
@@ -133,6 +146,57 @@ def sample_parameters(spec: SampleSpec, index: int) -> PviAsymptoticData:
 
 
 # --------------------------------------------------------------------------
+# checks: every error is absolute, except the round trip's relative one
+
+
+def closed_form_checks(d: PviAsymptoticData, traces: MonodromyData,
+                       sigma_j: tuple[complex, complex]) -> list[tuple[str, float]]:
+    """F.P.G.Q on ``d``: ``traces`` is P.G.Q(d) and ``sigma_j`` is F of them."""
+    sigma_out, j_out = sigma_j
+    return [
+        ("roundtrip", max(abs(sigma_out - d.sigma) / abs(d.sigma),
+                          abs(j_out - d.J) / abs(d.J))),
+        ("trace_identity", abs(trace_identity_residual(d))),
+        ("cubic", abs(cubic_residual(traces))),
+        ("p12", abs(traces.p12 - 2.0 * cmath.cos(math.pi * d.sigma))),
+    ]
+
+
+def stokes_checks(closed: StokesPair, num: StokesNumericResult) -> list[tuple[str, float]]:
+    """The numerical Stokes pair ``num`` against the closed-form pair ``closed``."""
+    entry = max(float(np.max(np.abs(num.s_plus - closed.s_plus))),
+                float(np.max(np.abs(num.s_minus - closed.s_minus))))
+    return [("stokes_entry", entry), ("stokes_triangularity", num.triangularity_residual),
+            ("stokes_diagonal", num.diag_residual)]
+
+
+def ladder_checks(d: PviAsymptoticData, rep: LimitReport) -> list[tuple[str, float]]:
+    """The ladder ``rep`` of ``d`` against Phi0 and min(Re sigma, 1 - Re sigma)."""
+    entry = float(np.max(np.abs(rep.b_limit - arrow_q(d).phi0)))
+    expected = min(d.sigma.real, 1.0 - d.sigma.real)
+    exponent = (math.inf if rep.y_correction_exponent is None
+                else abs(rep.y_correction_exponent - expected))
+    return [("ladder_entry", entry), ("ladder_exponent", exponent)]
+
+
+def flow_checks(phi: np.ndarray, phi_end: np.ndarray) -> list[tuple[str, float]]:
+    """The invariants of a flow walk from ``phi`` to ``phi_end``."""
+    return [("flow_diag", diag_drift(phi, phi_end)),
+            ("flow_spectrum", spectral_drift(phi, phi_end))]
+
+
+def shrink_checks(d: PviAsymptoticData, rep: ShrinkReport) -> list[tuple[str, float]]:
+    """The end band of the ray ``rep`` from the bridged ``d`` against |Re sigma|."""
+    return [("shrink_band", abs(rep.bands[-1] - abs(d.sigma.real)))]
+
+
+def rhs_checks(u: np.ndarray, phi: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """The entrywise right-hand side dPhi/du_k against the commutator form."""
+    return [("rhs_equivalence", float(np.max(np.abs(
+        jmms_rhs(u, phi, k) - jmms_rhs_commutator(u, phi, k)))))]
+
+
+# --------------------------------------------------------------------------
 # report plumbing
 
 
@@ -163,18 +227,15 @@ def cmd_roundtrip(args) -> int:
 
     def work(i: int) -> dict:
         d = sample_parameters(spec, i)
-        b = arrow_q(d)
-        s = arrow_g(b)
-        m = arrow_p(s, d.thetas)
-        sigma_out, j_out = arrow_f(m, d.thetas)
+        m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
+        err = dict(closed_form_checks(d, m, arrow_f(m, d.thetas)))
         p23c, p13c = p23_p13_closed_form(d)
         return {
             "index": i,
-            "sigma_err": abs(sigma_out - d.sigma) / abs(d.sigma),
-            "j_err": abs(j_out - d.J) / abs(d.J),
-            "cubic": abs(cubic_residual(m)),
-            "p12_err": abs(m.p12 - 2 * cmath.cos(math.pi * d.sigma)),
-            "identity": abs(trace_identity_residual(d)),
+            "roundtrip_err": err["roundtrip"],
+            "cubic": err["cubic"],
+            "p12_err": err["p12"],
+            "identity": err["trace_identity"],
             "trace_closed_form_err": max(abs(m.p23 - p23c), abs(m.p13 - p13c)),
         }
 
@@ -187,8 +248,7 @@ def cmd_roundtrip(args) -> int:
     }
     for r in results:
         r["pass"] = bool(
-            r["sigma_err"] < tol["roundtrip"]
-            and r["j_err"] < tol["roundtrip"]
+            r["roundtrip_err"] < tol["roundtrip"]
             and r["cubic"] < tol["cubic"]
             and r["p12_err"] < tol["p12"]
             and r["identity"] < tol["identity"]
@@ -200,8 +260,7 @@ def cmd_roundtrip(args) -> int:
         "samples": args.samples,
         "tolerances": tol,
         "failures": failures,
-        "max_sigma_err": max(r["sigma_err"] for r in results),
-        "max_j_err": max(r["j_err"] for r in results),
+        "max_roundtrip_err": max(r["roundtrip_err"] for r in results),
         "max_cubic": max(r["cubic"] for r in results),
         "max_p12_err": max(r["p12_err"] for r in results),
         "max_identity": max(r["identity"] for r in results),
@@ -212,15 +271,14 @@ def cmd_roundtrip(args) -> int:
         _write_json(out / "roundtrip.json", summary)
         _write_csv(
             out / "roundtrip.csv",
-            ["index", "sigma_err", "j_err", "cubic", "p12_err", "identity",
+            ["index", "roundtrip_err", "cubic", "p12_err", "identity",
              "trace_closed_form_err", "pass"],
-            [[r["index"], r["sigma_err"], r["j_err"], r["cubic"], r["p12_err"],
+            [[r["index"], r["roundtrip_err"], r["cubic"], r["p12_err"],
               r["identity"], r["trace_closed_form_err"], int(r["pass"])]
              for r in results],
         )
     print(f"roundtrip: {args.samples - failures}/{args.samples} samples passed "
-          f"(max sigma err {summary['max_sigma_err']:.3e}, "
-          f"max J err {summary['max_j_err']:.3e})")
+          f"(max roundtrip err {summary['max_roundtrip_err']:.3e})")
     return 0 if failures == 0 else 1
 
 
@@ -252,20 +310,16 @@ def cmd_limits(args) -> int:
         print(f"limits: sigma={d.sigma:.4g} movable pole interrupted the "
               f"ladder at {exc.location} FAIL")
         return 1
-    ref = arrow_q(d).phi0
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    err = float(np.max(np.abs(rep.b_limit - ref))) / scale
+    check = dict(ladder_checks(d, rep))
+    err = check["ladder_entry"]
+    ok = err < args.tol and (rep.degraded or check["ladder_exponent"] < 0.1)
     expected_p = min(d.sigma.real, 1.0 - d.sigma.real)
-    exp_err = (abs(rep.y_correction_exponent - expected_p)
-               if rep.y_correction_exponent is not None else math.inf)
-    ok = err < args.tol and (rep.degraded or exp_err < 0.1)
     payload = {
         "command": "limits",
         "seed": args.seed,
         "sigma": [d.sigma.real, d.sigma.imag],
         "entrywise_err": err,
         "y_correction_exponent": rep.y_correction_exponent,
-        "decay_exponent": rep.decay_exponent,
         "expected_exponent": expected_p,
         "degraded": rep.degraded,
         "ladder": rep.xs,
@@ -274,10 +328,11 @@ def cmd_limits(args) -> int:
     out = _out_dir(args)
     if out:
         _write_json(out / "limits.json", payload)
+        ref = arrow_q(d).phi0
         _write_csv(
             out / "limits.csv",
             ["x", "entrywise_err_vs_closed_form"],
-            [[x, float(np.max(np.abs(bv - ref))) / scale]
+            [[x, float(np.max(np.abs(bv - ref)))]
              for x, bv in zip(rep.xs, rep.b_values)],
         )
     print(f"limits: sigma={d.sigma:.4g} entrywise err {err:.3e} "
@@ -309,17 +364,12 @@ def cmd_stokes(args) -> int:
         phi_u = bridged_phi_at_u0(d, sheet=args.sheet)
         system = IrregularSystem(U_BASE, phi_u)
         num = stokes_matrices(system, rtol=args.rtol)
-        scale = max(1.0, float(np.max(np.abs(closed.s_plus))),
-                    float(np.max(np.abs(closed.s_minus))))
-        err = max(
-            float(np.max(np.abs(num.s_plus - closed.s_plus))),
-            float(np.max(np.abs(num.s_minus - closed.s_minus))),
-        ) / scale
+        err = dict(stokes_checks(closed, num))
         return {
             "index": i,
-            "entrywise_err": err,
-            "triangularity_residual": num.triangularity_residual,
-            "diag_residual": num.diag_residual,
+            "entrywise_err": err["stokes_entry"],
+            "triangularity_residual": err["stokes_triangularity"],
+            "diag_residual": err["stokes_diagonal"],
             "monodromy_mismatch": monodromy_mismatch(system, num.s_plus,
                                                      num.s_minus),
             "radius": float(num.radius),
@@ -394,9 +444,7 @@ def cmd_jmms(args) -> int:
         for _ in range(args.states):
             u, phi = _random_flow_state(rng, n)
             k = int(rng.integers(0, n))
-            a = jmms_rhs(u, phi, k)
-            b = jmms_rhs_commutator(u, phi, k)
-            equiv = max(equiv, float(np.max(np.abs(a - b))))
+            equiv = max(equiv, dict(rhs_checks(u, phi, k))["rhs_equivalence"])
         u, phi = _random_flow_state(rng, n)
         pts = [u]
         for _ in range(args.path_length):
@@ -411,12 +459,13 @@ def cmd_jmms(args) -> int:
                 step = 0.15 * (rng.normal(size=n) + 1j * rng.normal(size=n))
                 pts.append(pts[-1] + step)
             phi_end = flow_path(pts, phi, rtol=args.rtol)
+        err = dict(flow_checks(phi, phi_end))
         return {
             "index": i,
             "n": n,
             "equivalence": equiv,
-            "diag_drift": diag_drift(phi, phi_end),
-            "spectral_drift": spectral_drift(phi, phi_end),
+            "diag_drift": err["flow_diag"],
+            "spectral_drift": err["flow_spectrum"],
         }
 
     def shrink_work(i: int) -> dict:
@@ -424,14 +473,13 @@ def cmd_jmms(args) -> int:
         d, idx = shrink_sample(spec, 100 * (i + 1))
         phi = bridged_phi_at_u0(d)
         rep = shrinking_check(U_BASE, phi, reach=args.reach)
-        band_err = abs(rep.bands[-1] - abs(d.sigma.real))
         return {
             "index": i,
             "draw_index": idx,
             "sigma": [d.sigma.real, d.sigma.imag],
             "reach": args.reach,
             "bands": rep.bands,
-            "band_err": band_err,
+            "band_err": dict(shrink_checks(d, rep))["shrink_band"],
         }
 
     results = [work(i) for i in range(args.samples)]

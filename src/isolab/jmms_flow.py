@@ -54,6 +54,9 @@ __all__ = [
     "spectral_drift",
 ]
 
+#: absolute tolerance of every flow integration
+_ATOL = 1e-14
+
 
 def _coerce(u, phi) -> tuple[np.ndarray, np.ndarray]:
     uu = np.asarray(u, dtype=complex)
@@ -182,7 +185,7 @@ def _flow_rhs(u0: np.ndarray, v: np.ndarray):
     return rhs
 
 
-def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
+def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12,
          max_steps: int = 500_000, collision_tol: float = 1e-9) -> np.ndarray:
     """Transport Phi along the straight segment from u_start to u_end.
 
@@ -198,12 +201,12 @@ def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
     if np.max(np.abs(v)) == 0.0:
         return m0.copy()
     rhs = _flow_rhs(u0, v)
-    sol = integrate(rhs, 0.0, 1.0, m0.ravel(), rtol=rtol, atol=atol,
+    sol = integrate(rhs, 0.0, 1.0, m0.ravel(), rtol=rtol, atol=_ATOL,
                     max_steps=max_steps)
     return sol.y_end.reshape(m0.shape)
 
 
-def flow_path(points, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
+def flow_path(points, phi_start, *, rtol: float = 1e-12,
               max_steps: int = 500_000, collision_tol: float = 1e-9,
               record: bool = False):
     """Transport Phi along the polygonal u-space path through ``points``.
@@ -217,7 +220,7 @@ def flow_path(points, phi_start, *, rtol: float = 1e-12, atol: float = 1e-14,
     phi = as_matrix(phi_start, pts[0].shape[0]).copy()
     recorded = [phi.copy()] if record else None
     for a, b in zip(pts[:-1], pts[1:]):
-        phi = flow(a, b, phi, rtol=rtol, atol=atol, max_steps=max_steps,
+        phi = flow(a, b, phi, rtol=rtol, max_steps=max_steps,
                    collision_tol=collision_tol)
         if recorded is not None:
             recorded.append(phi.copy())
@@ -302,15 +305,14 @@ def _shrink_rhs(uu: np.ndarray, k: int, direction: complex, delta: np.ndarray):
 
 def shrinking_check(u0, phi0, ray: complex | None = None, *,
                     reach: float = 1e8, n_checkpoints: int = 15,
-                    coord: int = -1, rtol: float = 1e-12, atol: float = 1e-14,
-                    max_steps: int = 2_000_000) -> ShrinkReport:
-    """Flow one u-coordinate out along a ray and record the block band.
+                    rtol: float = 1e-12, max_steps: int = 2_000_000) -> ShrinkReport:
+    """Flow the last u-coordinate out along a ray and record the block band.
 
     The band -- the largest |Re(lambda_i - lambda_j)| over the upper-left
     (n-1) x (n-1) block -- contracts onto the invariant |Re sigma| of the
     boundary value as the separation grows; checkpoints are spaced so that
     |u_k| visits log-uniform multiples of its start value up to ``reach``.
-    ``ray`` is the complex direction of travel of coordinate ``coord``
+    ``ray`` is the complex direction of travel of that coordinate u_k
     (default: radially outward); it must not decrease |u_k|.
 
     The integration runs in the co-moving gauge Psi = c^dPhi Phi c^-dPhi
@@ -330,7 +332,7 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
     """
     uu, m = _coerce(u0, phi0)
     n = uu.shape[0]
-    k = coord % n
+    k = n - 1
     if abs(uu[k]) < 1e-12:
         raise DomainError("ray coordinate must be nonzero to scale it outward")
     if reach <= 1.0:
@@ -374,7 +376,7 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
         _segment_collision_check(u_of(s_a), u_of(s_b), 1e-9)
         try:
             sol = integrate(rhs, math.log1p(s_a * speed), math.log1p(s_b * speed),
-                            psi.ravel(), rtol=rtol, atol=atol, max_steps=max_steps)
+                            psi.ravel(), rtol=rtol, atol=_ATOL, max_steps=max_steps)
         except SingularityError as exc:
             s_pole = math.expm1(exc.location) / speed
             raise SingularityError(f"{exc} in tau = log1p(s |ray| / |u_k|), "

@@ -27,8 +27,8 @@ associated linear system; conjugating by x^{dPhi} and by the matrix power of
 the truncated boundary value produces the regularised families A(x) and B(x)
 whose x -> 0 limits recover the truncated and the full boundary value.  The
 module fits those limits from a geometric ladder of sample points with a
-linear least-squares model in the known correction powers; a free
-single-power model fitted to the same ladder estimates the decay exponent.
+linear least-squares model in the known correction powers, and estimates
+the correction exponent of the transcendent from the same ladder.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "omega_from_state",
     "a_matrix",
     "b_matrix",
-    "extrapolate_single_power",
     "extrapolate_known_powers",
     "regularized_limits",
 ]
@@ -68,6 +67,14 @@ _KEY_TOL = 1e-9
 _ROUNDING_GAMMA = 64.0 * float(np.finfo(float).eps)
 #: lowest seed point of the descent in ``seed_asymptotic``
 _SEED_FLOOR = 1e-15
+#: the seed's series keeps corrections up to x^2.2 relative to J x^(1 - sigma)
+_SEED_CUTOFF = 2.2
+#: absolute tolerance of the trajectory integration
+_ATOL = 1e-14
+#: ratio of neighbouring ladder points in ``regularized_limits``
+_LADDER_RATIO = 2.0
+#: correction powers fitted by ``regularized_limits``
+_MAX_POWERS = 4
 
 
 class PuiseuxSeries:
@@ -473,7 +480,7 @@ def _w_series(d: PviAsymptoticData, y: PuiseuxSeries, x: PuiseuxSeries,
     return gammas, prims, w_valid
 
 
-def seed_asymptotic(d: PviAsymptoticData, x0: float, cutoff_rel: float = 2.2,
+def seed_asymptotic(d: PviAsymptoticData, x0: float,
                     target_rel: float | None = None) -> TrajectorySeed:
     """Seed the trajectory at a small x0 from the critical expansion at 0.
 
@@ -495,19 +502,19 @@ def seed_asymptotic(d: PviAsymptoticData, x0: float, cutoff_rel: float = 2.2,
     if bad:
         raise DomainError("seed_asymptotic: " + "; ".join(bad))
     s = d.sigma.real
-    basis = _basis_series(d.sigma, (1.0 - s) + cutoff_rel + 1.0)
-    y_series, _ = _solve_lattice_series(d, cutoff_rel, basis)
+    basis = _basis_series(d.sigma, (1.0 - s) + _SEED_CUTOFF + 1.0)
+    y_series, _ = _solve_lattice_series(d, _SEED_CUTOFF, basis)
     gammas, prims, w_valid = _w_series(d, y_series, *basis)
     # Relative truncation estimate: dropped terms carry coefficients at
     # least as large as the retained ones, the leading behaviour is
     # J x^(1-s), and two derivatives amplify a tail exponent e by (e/(1-s))^2
     # relative to the leading term.
     cscale = max(1.0, max(abs(c) for c in y_series.c.values()))
-    amp = ((cutoff_rel + 1.0) / (1.0 - s)) ** 2
+    amp = ((_SEED_CUTOFF + 1.0) / (1.0 - s)) ** 2
     wexp = max(w_valid, 0.25)
 
     def est(xv: float) -> float:
-        tail_y = cscale * amp * xv ** (cutoff_rel - (1.0 - s)) / max(abs(d.J), 0.1)
+        tail_y = cscale * amp * xv ** (_SEED_CUTOFF - (1.0 - s)) / max(abs(d.J), 0.1)
         tail_w = cscale * xv ** wexp
         return float(tail_y + tail_w)
 
@@ -546,8 +553,8 @@ _W_LIMIT = 690.0  # |Re w| beyond this overflows exp() in double precision
 
 
 def extend_trajectory(thetas: tuple[complex, complex, complex, complex],
-                      seed: TrajectorySeed, xs, *, rtol: float = 1e-11,
-                      atol: float = 1e-14) -> list[TrajectoryPoint]:
+                      seed: TrajectorySeed, xs, *,
+                      rtol: float = 1e-11) -> list[TrajectoryPoint]:
     """Integrate the trajectory from the seed through the increasing points ``xs``.
 
     The integration variable is t = log x, with right-hand side x f(x, state)
@@ -575,7 +582,7 @@ def extend_trajectory(thetas: tuple[complex, complex, complex, complex],
     for xv in targets:
         tv = math.log(xv)
         try:
-            sol = integrate(rhs, ta, tv, state, rtol=rtol, atol=atol, max_steps=budget)
+            sol = integrate(rhs, ta, tv, state, rtol=rtol, atol=_ATOL, max_steps=budget)
         except SingularityError as exc:
             x_pole = math.exp(exc.location)
             raise SingularityError(f"{exc} in t = log x, at x = {x_pole:.6e}",
@@ -649,41 +656,7 @@ def b_matrix(d: PviAsymptoticData, pt: TrajectoryPoint,
 # extrapolation
 
 
-def extrapolate_single_power(xs, vals) -> tuple[complex, float | None, float]:
-    """Fit v(x) = L + C x^p on the three smallest points; returns (L, p, |C|).
-
-    ``p`` is None when the data is flat or inconsistent with a single power.
-    """
-    order = np.argsort(np.asarray(xs, dtype=float))[:3]
-    x = np.asarray(xs, dtype=float)[order]
-    v = np.asarray(vals, dtype=complex)[order]
-    if len(x) < 3:
-        raise DomainError("single-power extrapolation needs three points")
-    d1 = v[1] - v[0]
-    d2 = v[2] - v[1]
-    scale = max(abs(v[0]), abs(v[1]), abs(v[2]), 1e-30)
-    if abs(d1) < 1e-13 * scale or abs(d2) < 1e-13 * scale:
-        return complex(v[0]), None, 0.0
-
-    def g(p: float) -> float:
-        return (x[2] ** p - x[1] ** p) / (x[1] ** p - x[0] ** p)
-
-    target = abs(d2) / abs(d1)
-    lo, hi = 1e-3, 6.0
-    if not g(lo) <= target <= g(hi):
-        return complex(v[0]), None, abs(d1)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    p = 0.5 * (lo + hi)
-    c = d1 / (x[1] ** p - x[0] ** p)
-    return complex(v[0] - c * x[0] ** p), p, abs(c)
-
-
-def correction_powers(sigma: complex, max_powers: int = 4) -> list[complex]:
+def correction_powers(sigma: complex) -> list[complex]:
     """Known correction exponents of the regularised limits, smallest Re first."""
     cands = [sigma, 1 - sigma, 2 * sigma, 2 - 2 * sigma, 1.0 + 0.0j]
     out: list[complex] = []
@@ -691,7 +664,7 @@ def correction_powers(sigma: complex, max_powers: int = 4) -> list[complex]:
         if all(abs(c - o) > 1e-9 for o in out):
             out.append(complex(c))
     out.sort(key=lambda z: (z.real, z.imag))
-    return out[:max_powers]
+    return out[:_MAX_POWERS]
 
 
 def extrapolate_known_powers(xs, mats, powers) -> np.ndarray:
@@ -720,29 +693,24 @@ class LimitReport:
     b_values: list[np.ndarray]
     a_limit: np.ndarray
     b_limit: np.ndarray
-    decay_exponent: float | None
     y_correction_exponent: float | None
     degraded: bool
     seed: TrajectorySeed
 
 
 def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
-                       n_ladder: int = 14, ratio: float = 2.0,
-                       cutoff_rel: float = 2.2, rtol: float = 1e-11,
-                       atol: float = 1e-14) -> LimitReport:
+                       n_ladder: int = 14, rtol: float = 1e-11) -> LimitReport:
     """Drive the trajectory oracle: seed, ladder, regularise, extrapolate.
 
     The trajectory is seeded below the smallest ladder point and integrated
-    upward through the geometric ladder, and both regularised families are
-    extrapolated with the known-power least-squares fit.
+    upward through the geometric ladder x_small * 2^j, j < n_ladder, and both
+    regularised families are extrapolated with the known-power least-squares
+    fit.
 
-    Exponent reports: ``y_correction_exponent`` is the log-log slope of the
-    transcendent's own relative correction y/(J x^(1-sigma)) - 1, whose
-    expansion carries both x^sigma and x^(1-sigma) terms, so it estimates
-    min(Re sigma, 1 - Re sigma).  ``decay_exponent`` is the median per-entry
-    convergence rate of the A-family; there the x^sigma corrections of the
-    ingredients cancel exactly (the gauge factors are built to absorb them),
-    so it estimates 1 - Re sigma.
+    ``y_correction_exponent`` is the log-log slope of the transcendent's own
+    relative correction y/(J x^(1-sigma)) - 1 over the six smallest ladder
+    points; its expansion carries both x^sigma and x^(1-sigma) terms, so it
+    estimates min(Re sigma, 1 - Re sigma).
 
     The B-family is conjugated by the truncated closed-form boundary matrix
     (that matrix is part of B's definition); independence of the oracle is
@@ -752,15 +720,13 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
     bad = validate_generic(d)
     if bad:
         raise DomainError("regularized_limits: " + "; ".join(bad))
-    ladder = [x_small * ratio ** j for j in range(n_ladder)]
+    ladder = [x_small * _LADDER_RATIO ** j for j in range(n_ladder)]
     if ladder[-1] > 0.1:
         raise DomainError(
-            f"ladder extends to {ladder[-1]:.3g} > 0.1; shrink x_small, "
-            "n_ladder or ratio"
+            f"ladder extends to {ladder[-1]:.3g} > 0.1; shrink x_small or n_ladder"
         )
-    seed = seed_asymptotic(d, x_small / ratio ** 2, cutoff_rel=cutoff_rel,
-                           target_rel=1e-8)
-    pts = extend_trajectory(d.thetas, seed, ladder, rtol=rtol, atol=atol)
+    seed = seed_asymptotic(d, x_small / _LADDER_RATIO ** 2, target_rel=1e-8)
+    pts = extend_trajectory(d.thetas, seed, ladder, rtol=rtol)
     a_vals = [a_matrix(d.thetas, p) for p in pts]
     xs = [p.x for p in pts]
     powers = correction_powers(d.sigma)
@@ -779,15 +745,6 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
         slope = np.polyfit(lx, lr, 1)[0]
         y_exp = float(slope)
 
-    exps: list[float] = []
-    scale = float(np.max(np.abs(a_vals[0])))
-    for i in range(3):
-        for j in range(3):
-            vals = [av[i, j] for av in a_vals]
-            _, p, amp = extrapolate_single_power(xs, vals)
-            if p is not None and amp > 1e-6 * scale:
-                exps.append(p)
-    decay = float(np.median(np.asarray(exps))) if exps else None
     b_limit = extrapolate_known_powers(xs, b_vals, powers)
     s = d.sigma.real
     # confidence degrades near the strip boundary and when distinct correction
@@ -799,5 +756,4 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
     )
     degraded = min(s, 1.0 - s) < 0.12 or power_gap < 0.05
     return LimitReport(xs=xs, a_values=a_vals, b_values=b_vals, a_limit=a_limit,
-                       b_limit=b_limit, decay_exponent=decay,
-                       y_correction_exponent=y_exp, degraded=degraded, seed=seed)
+                       b_limit=b_limit, y_correction_exponent=y_exp, degraded=degraded, seed=seed)

@@ -73,7 +73,6 @@ __all__ = [
     "continue_frame",
     "stokes_matrices",
     "monodromy_mismatch",
-    "rescaled_phi",
     "default_radius",
 ]
 
@@ -92,6 +91,12 @@ _MAX_ORDER = 24
 #: A Taylor step sums terms down to rtol / max(steps in the plan, _MIN_SHARE),
 #: so a short plan does not loosen the per-step threshold.
 _MIN_SHARE = 1000
+#: Absolute floor of a frame column's scale in a Taylor step, over rtol.
+_ATOL = 1e-14
+#: The formal series is evaluated at this multiple of the frame's |z|.
+_SERIES_FACTOR = 2.0
+#: Radius of the dumbbell's arcs round the Fuchsian point.
+_RHO = 1.5
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,7 @@ class _TaylorWork:
 
 
 def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
-                 rtol: float, atol: float, work: _TaylorWork) -> np.ndarray:
+                 rtol: float, work: _TaylorWork) -> np.ndarray:
     """Continue a stack of frame values along mirrored copies of one polygon.
 
     Frame ``f[j]`` follows the polygon through ``signs[j] * vertices``, with
@@ -235,7 +240,7 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
     polygon negates every (z0, h) of the plan exactly, and h / z0 is shared.
     ``rtol`` is shared among the steps: a step ends after two consecutive
     terms of every frame fall below rtol / max(number of steps, _MIN_SHARE)
-    times that frame's column scale max|F_col| + atol/rtol, so no frame sums
+    times that frame's column scale max|F_col| + _ATOL/rtol, so no frame sums
     fewer terms than it would alone, and the summed tail of each frame's
     path (added to ``work.tail``) stays below ``rtol``.  ``work`` counts the
     steps and terms of every frame.
@@ -263,7 +268,7 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
             z += h
         plan.append((z, zb - z))
     tol = rtol / max(len(plan), _MIN_SHARE)
-    floor = atol / rtol
+    floor = _ATOL / rtol
     f = np.asarray(f, dtype=complex)
     m = f.shape[0]
     sv = np.multiply.outer(signs, v)  # row j: signs[j] * v
@@ -309,32 +314,27 @@ def _series_frame(system: IrregularSystem, z: complex, log_z: complex,
 
 
 def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
-                    order: int | None = None, series_factor: float = 2.0,
-                    rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
+                    order: int | None = None, rtol: float = 1e-12) -> np.ndarray:
     """Canonical frame F(z) on the sheet fixed by ``log_z``.
 
-    Evaluates the formal series at z * series_factor on the same ray (where
-    it is more accurate) and continues the value back to z by Taylor steps of
-    the system itself.  The series order is ``order``, or by default planned
-    from its tail at |z| * series_factor as in :func:`stokes_matrices`.
+    Evaluates the formal series at 2z on the same ray (where it is more
+    accurate) and continues the value back to z by Taylor steps of the
+    system itself.  The series order is ``order``, or by default planned
+    from its tail at 2|z| as in :func:`stokes_matrices`.
     """
     z = complex(z)
     if abs(cmath.exp(log_z) - z) > 1e-9 * abs(z):
         raise DomainError("log_z is not a logarithm of z")
-    if series_factor < 1.0:
-        raise DomainError("series_factor must be >= 1")
-    z2 = z * series_factor
+    z2 = z * _SERIES_FACTOR
     hs = _planned_series(system, order, abs(z2), rtol)
-    f2 = _series_frame(system, z2, log_z + math.log(series_factor), hs)
-    if series_factor == 1.0:
-        return f2
-    return _taylor_path(system, [f2], [z2, z], (1,), rtol, atol, _TaylorWork())[0]
+    f2 = _series_frame(system, z2, log_z + math.log(_SERIES_FACTOR), hs)
+    return _taylor_path(system, [f2], [z2, z], (1,), rtol, _TaylorWork())[0]
 
 
 def continue_frame(system: IrregularSystem, f0: np.ndarray, contour, *,
-                   rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
+                   rtol: float = 1e-12) -> np.ndarray:
     """Analytically continue a frame value along a polygonal contour."""
-    return _taylor_path(system, [f0], contour, (1,), rtol, atol, _TaylorWork())[0]
+    return _taylor_path(system, [f0], contour, (1,), rtol, _TaylorWork())[0]
 
 
 @dataclass
@@ -367,9 +367,8 @@ def _arc(rho: float, theta0: float, theta1: float, n_arc: int) -> list[complex]:
 
 
 def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
-                    order: int | None = None, rho: float = 1.5, n_arc: int = 8,
-                    rtol: float = 1e-12, atol: float = 1e-14,
-                    check_tol: float = 1e-5) -> StokesNumericResult:
+                    order: int | None = None, n_arc: int = 8,
+                    rtol: float = 1e-12, check_tol: float = 1e-5) -> StokesNumericResult:
     """Compute (S+, S-) numerically via dumbbell continuation.
 
     Two stacked Taylor continuations make the four frame values: (F+ from
@@ -380,34 +379,35 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     :func:`default_radius`, and the series, evaluated at 2R, is truncated at
     ``order`` or by default at the smallest order m >= 9 whose term
     max|H_m| (2R)^-m is at most 1e-3 rtol (the order of the smallest term if
-    the terms grow first, at most 24).  Each arc of radius ``rho`` is a
-    polygon of ``n_arc`` chords.
+    the terms grow first, at most 24).  Each arc of radius 1.5 is a polygon
+    of ``n_arc`` chords.
 
     Raises :class:`AccuracyError` when the triangular structure or the
     diagonal law e^{-i pi phi_kk} fails beyond ``check_tol`` (relative).
     """
     r = default_radius(system) if radius is None else float(radius)
-    if not rho < r / 4:
-        raise DomainError(f"inner radius {rho} too large for extraction radius {r}")
-    hs = _planned_series(system, order, 2.0 * r, rtol)
+    if not _RHO < r / 4:
+        raise DomainError(f"inner radius {_RHO} too large for extraction radius {r}")
+    r2 = _SERIES_FACTOR * r
+    hs = _planned_series(system, order, r2, rtol)
     order = len(hs)
-    tail = float(np.max(np.abs(hs[-1]))) * (2.0 * r) ** (-order)
+    tail = float(np.max(np.abs(hs[-1]))) * r2 ** (-order)
 
-    ln_r2 = math.log(r) + math.log(2.0)
+    ln_r2 = math.log(r) + math.log(_SERIES_FACTOR)
     work = _TaylorWork()
     # F+ from its series at 2R and F- from its series at -2R (arg -pi), each
     # continued down its ray to |z| = R; the second path mirrors the first
     f_plus_r, f_minus_mr = _taylor_path(
-        system, [_series_frame(system, 2.0 * r, ln_r2, hs),
-                 _series_frame(system, -2.0 * r, ln_r2 - 1j * math.pi, hs)],
-        [2.0 * r, r], (1, -1), rtol, atol, work)
+        system, [_series_frame(system, r2, ln_r2, hs),
+                 _series_frame(system, -r2, ln_r2 - 1j * math.pi, hs)],
+        [r2, r], (1, -1), rtol, work)
 
     # F+ continued clockwise through the lower half-plane: arg 0 -> -pi; F-
     # continued clockwise on its sheet along the mirrored dumbbell: arg -pi
     # -> -2 pi (upper half-plane)
-    lower = [r] + _arc(rho, 0.0, -math.pi, n_arc) + [-r]
+    lower = [r] + _arc(_RHO, 0.0, -math.pi, n_arc) + [-r]
     fp_cont, fm_cont = _taylor_path(system, [f_plus_r, f_minus_mr], lower, (1, -1),
-                                    rtol, atol, work)
+                                    rtol, work)
 
     diag = np.diag(system.phi)
     e_minus = np.exp(-1j * math.pi * diag)
@@ -459,16 +459,3 @@ def monodromy_mismatch(system: IrregularSystem, s_plus: np.ndarray,
         cand = max(abs(got[p] - want[i]) for i, p in enumerate(perm))
         best = min(best, cand)
     return float(best)
-
-
-def rescaled_phi(phi, t: complex, sheet: int = 0) -> np.ndarray:
-    """Transported residue t^{-dPhi} Phi t^{dPhi} matching the rescaling u -> t u.
-
-    The Stokes matrices satisfy S(t u, Phi) = t^{dPhi} S(u, Phi) t^{-dPhi};
-    transporting Phi this way therefore leaves them invariant.
-    """
-    m = as_matrix(phi)
-    log_t = cmath.log(complex(t)) + 2j * cmath.pi * sheet
-    d = np.diag(m)
-    e = np.exp(log_t * d)
-    return (1.0 / e)[:, None] * m * e[None, :]

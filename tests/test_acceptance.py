@@ -27,27 +27,24 @@ from isolab.arrows import (
     arrow_g,
     arrow_p,
     arrow_q,
-    cubic_residual,
     genericity_margin,
-    trace_identity_residual,
 )
 from isolab.cli_harness import (
     U_BASE,
     SampleSpec,
     _random_flow_state,
     bridged_phi_at_u0,
+    closed_form_checks,
+    flow_checks,
+    ladder_checks,
+    rhs_checks,
     sample_parameters,
+    shrink_checks,
     shrink_sample,
+    stokes_checks,
 )
 from isolab.core_linalg import delta_k, matrix_power_scalar
-from isolab.jmms_flow import (
-    diag_drift,
-    flow_path,
-    jmms_rhs,
-    jmms_rhs_commutator,
-    shrinking_check,
-    spectral_drift,
-)
+from isolab.jmms_flow import flow_path, shrinking_check
 from isolab.pvi_trajectory import regularized_limits
 from isolab.special_fn import gamma_c
 from isolab.stokes_numeric import IrregularSystem, stokes_matrices
@@ -88,16 +85,8 @@ def sweep():
         assert genericity_margin(d) >= 0.02
         assert 0.05 <= d.sigma.real <= 0.95
         assert all(abs(t) <= 2.0 for t in d.thetas) and abs(d.J) <= 2.0
-        s = arrow_g(arrow_q(d))
-        m = arrow_p(s, d.thetas)
-        sigma_out, j_out = arrow_f(m, d.thetas)
-        rows.append({
-            "roundtrip": max(abs(sigma_out - d.sigma) / abs(d.sigma),
-                             abs(j_out - d.J) / abs(d.J)),
-            "identity": abs(trace_identity_residual(d)),
-            "cubic": abs(cubic_residual(m)),
-            "p12": abs(m.p12 - 2.0 * cmath.cos(math.pi * d.sigma)),
-        })
+        m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
+        rows.append(dict(closed_form_checks(d, m, arrow_f(m, d.thetas))))
     return rows, time.perf_counter() - t0
 
 
@@ -112,12 +101,7 @@ def stokes_batch():
         closed = arrow_g(arrow_q(d))
         phi = bridged_phi_at_u0(d)
         num = stokes_matrices(IrregularSystem(U_BASE, phi), rtol=1e-12)
-        rows.append({
-            "entry": max(float(np.max(np.abs(num.s_plus - closed.s_plus))),
-                         float(np.max(np.abs(num.s_minus - closed.s_minus)))),
-            "tri": num.triangularity_residual,
-            "diag": num.diag_residual,
-        })
+        rows.append(dict(stokes_checks(closed, num)))
     return rows, time.perf_counter() - t0
 
 
@@ -133,7 +117,7 @@ def test_criterion_1_roundtrip_identity(sweep):
 
 def test_criterion_2_trace_identity(sweep):
     rows, _ = sweep
-    worst = max(r["identity"] for r in rows)
+    worst = max(r["trace_identity"] for r in rows)
     _criterion(
         2, worst < TOL_TRACE_IDENTITY,
         f"a + b = d/(L J) residual: max {worst:.3e} < {TOL_TRACE_IDENTITY:.0e} "
@@ -163,9 +147,9 @@ def test_criterion_4_p12_cosine(sweep):
 
 def test_criterion_5_stokes_oracle(stokes_batch):
     rows, elapsed = stokes_batch
-    entry = max(r["entry"] for r in rows)
-    tri = max(r["tri"] for r in rows)
-    diag = max(r["diag"] for r in rows)
+    entry = max(r["stokes_entry"] for r in rows)
+    tri = max(r["stokes_triangularity"] for r in rows)
+    diag = max(r["stokes_diagonal"] for r in rows)
     ok = (entry < TOL_STOKES_ENTRY and tri < TOL_STOKES_TRI
           and diag < TOL_STOKES_DIAG)
     _criterion(
@@ -184,10 +168,9 @@ def test_criterion_6_regularized_limits():
     for re_sigma in (0.25, 0.5, 0.75):
         d = PviAsymptoticData(base.theta1, base.theta2, base.theta3,
                               base.theta_inf, complex(re_sigma, 0.05), base.J)
-        rep = regularized_limits(d, x_small=1e-5, n_ladder=14)
-        entry_errs.append(float(np.max(np.abs(rep.b_limit - arrow_q(d).phi0))))
-        expected = min(re_sigma, 1.0 - re_sigma)
-        exp_errs.append(abs(rep.y_correction_exponent - expected))
+        err = dict(ladder_checks(d, regularized_limits(d, x_small=1e-5, n_ladder=14)))
+        entry_errs.append(err["ladder_entry"])
+        exp_errs.append(err["ladder_exponent"])
     elapsed = time.perf_counter() - t0
     ok = (max(entry_errs) < TOL_LADDER_ENTRY
           and max(exp_errs) < TOL_LADDER_EXPONENT)
@@ -207,8 +190,7 @@ def test_criterion_7_deformation_flow_conservation():
     for _ in range(1000):
         u, phi = _random_flow_state(rng, 3)
         k = int(rng.integers(0, 3))
-        equiv = max(equiv, float(np.max(np.abs(
-            jmms_rhs(u, phi, k) - jmms_rhs_commutator(u, phi, k)))))
+        equiv = max(equiv, dict(rhs_checks(u, phi, k))["rhs_equivalence"])
 
     drifts = {}
     for index, n in ((0, 3), (1, 4)):
@@ -218,8 +200,8 @@ def test_criterion_7_deformation_flow_conservation():
         for _ in range(10):
             pts.append(pts[-1] + 0.3 * (rng.normal(size=n)
                                         + 1j * rng.normal(size=n)))
-        phi_end = flow_path(pts, phi, rtol=1e-12)
-        drifts[n] = (diag_drift(phi, phi_end), spectral_drift(phi, phi_end))
+        err = dict(flow_checks(phi, flow_path(pts, phi, rtol=1e-12)))
+        drifts[n] = (err["flow_diag"], err["flow_spectrum"])
     elapsed = time.perf_counter() - t0
 
     diag = max(v[0] for v in drifts.values())
@@ -244,7 +226,7 @@ def test_criterion_8_shrinking_band():
         d, _ = shrink_sample(spec, 100 * (i + 1))
         phi = bridged_phi_at_u0(d)
         rep = shrinking_check(U_BASE, phi, reach=reach)
-        errs.append(abs(rep.bands[-1] - abs(d.sigma.real)))
+        errs.append(dict(shrink_checks(d, rep))["shrink_band"])
     elapsed = time.perf_counter() - t0
     worst = max(errs)
     _criterion(

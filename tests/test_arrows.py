@@ -31,10 +31,9 @@ from isolab.arrows import (
     cubic_residual,
     genericity_margin,
     p23_p13_closed_form,
-    trace_identity_residual,
     validate_generic,
 )
-from isolab.cli_harness import SampleSpec, sample_parameters
+from isolab.cli_harness import SampleSpec, closed_form_checks, sample_parameters
 from isolab.core_linalg import diag_conjugate, eigen2
 from isolab.errors import DisambiguationError, DomainError
 
@@ -417,6 +416,11 @@ class TestArrowP:
             arrow_p(StokesPair(sp, s.s_minus), FIXED.thetas)
 
 
+def _checks(d: PviAsymptoticData, m: MonodromyData) -> dict:
+    """The closed-form checks of ``d`` with its traces ``m`` = P.G.Q(d)."""
+    return dict(closed_form_checks(d, m, arrow_f(m, d.thetas)))
+
+
 class TestAlgebraicIdentities:
     """Cross-route identities every composed tuple satisfies."""
 
@@ -425,16 +429,14 @@ class TestAlgebraicIdentities:
         for _ in range(40):
             d = draw(rng)
             m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
-            sigma, j = arrow_f(m, d.thetas)
-            assert abs(sigma - d.sigma) / abs(d.sigma) < 1e-9
-            assert abs(j - d.J) / abs(d.J) < 1e-9
+            assert _checks(d, m)["roundtrip"] < 1e-9
 
     def test_cubic_residual_vanishes_on_image(self):
         rng = np.random.default_rng(52)
         for _ in range(20):
             d = draw(rng)
             m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
-            assert abs(cubic_residual(m)) < 1e-8
+            assert _checks(d, m)["cubic"] < 1e-8
 
     def test_cubic_residual_nonzero_off_image(self):
         d = FIXED
@@ -446,7 +448,8 @@ class TestAlgebraicIdentities:
         rng = np.random.default_rng(53)
         for _ in range(20):
             d = draw(rng)
-            assert abs(trace_identity_residual(d)) < 1e-12
+            m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
+            assert _checks(d, m)["trace_identity"] < 1e-12
 
     def test_arrow_f_rejects_integer_theta(self):
         m = arrow_p(arrow_g(arrow_q(FIXED)), FIXED.thetas)

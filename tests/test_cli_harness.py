@@ -9,28 +9,38 @@ exercised by the acceptance suite.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from isolab import cli_harness, pvi_trajectory
+from isolab import arrows, cli_harness, jmms_flow, pvi_trajectory, stokes_numeric
 from isolab.arrows import arrow_q, genericity_margin
 from isolab.cli_harness import (
     BRIDGE_SHEET,
     U_BASE,
     SampleSpec,
     bridged_phi_at_u0,
+    closed_form_checks,
+    flow_checks,
+    ladder_checks,
     main,
     sample_parameters,
+    shrink_checks,
     shrink_sample,
+    stokes_checks,
 )
 from isolab.errors import ConfigError, SingularityError
 from isolab.ode_engine import integrate
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def read_json(path: Path) -> dict:
@@ -146,6 +156,74 @@ class TestBridgeIntegration:
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
+class _Recorder:
+    """A module whose calls keep their last result, by function name."""
+
+    def __init__(self, module):
+        self._module = module
+        self.last = {}
+
+    def __getattr__(self, name):
+        attr = getattr(self._module, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            self.last[name] = result = attr(*args, **kwargs)
+            return result
+
+        return call
+
+
+class TestChecksMatchTheBenchmark:
+    """The shared checks return the benchmark's (name, error) pairs, bit for bit.
+
+    Each workload runs one seed-2026 item on the isolab modules already
+    imported here; the recorded outputs of that run then go through the
+    shared checks.
+    """
+
+    def test_one_item_of_each_kind(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PY)
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        lib = SimpleNamespace(**{m.__name__.split(".")[-1]: _Recorder(m) for m in (
+            arrows, cli_harness, jmms_flow, pvi_trajectory, stokes_numeric)})
+        tol = defaultdict(float)  # the tolerances do not enter the errors
+
+        def bench(name, item):
+            run = workloads.WORKLOADS[name].run
+            return [(check, err) for check, err, _ in run(lib, tol, item)]
+
+        def first(name):
+            return workloads.WORKLOADS[name].generate(lib, 2026, 1)
+
+        d = first("closed_form")[0]
+        got = bench("closed_form", d)
+        # the Q^-1 checks that follow have no acceptance criterion
+        assert got[:4] == closed_form_checks(
+            d, lib.arrows.last["arrow_p"], lib.arrows.last["arrow_f"])
+
+        d = first("stokes_oracle")[0]
+        got = bench("stokes_oracle", d)
+        assert got == stokes_checks(lib.arrows.last["arrow_g"],
+                                    lib.stokes_numeric.last["stokes_matrices"])
+
+        # round 0: ladders at Re sigma 0.25, 0.5, 0.75, walks at n = 3, 4, rays
+        items = first("ladder_flow")
+        ladder, walk, ray = items[1], items[3], items[5]
+        (_, d), (_, (_, phi)) = ladder, walk
+        assert d.sigma.real == 0.5 and phi.shape == (3, 3)
+        got = bench("ladder_flow", ladder)
+        assert got == ladder_checks(d, lib.pvi_trajectory.last["regularized_limits"])
+        got = bench("ladder_flow", walk)
+        assert got == flow_checks(phi, lib.jmms_flow.last["flow_path"])
+        got = bench("ladder_flow", ray)
+        assert got == shrink_checks(ray[1], lib.jmms_flow.last["shrinking_check"])
+
+
 class TestRoundtripCommand:
     def test_reports_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -159,18 +237,17 @@ class TestRoundtripCommand:
         assert payload["samples"] == 4
         assert len(payload["results"]) == 4
         tol = payload["tolerances"]
-        assert payload["max_sigma_err"] < tol["roundtrip"]
-        assert payload["max_j_err"] < tol["roundtrip"]
+        assert payload["max_roundtrip_err"] < tol["roundtrip"]
         assert payload["max_cubic"] < tol["cubic"]
         assert payload["max_p12_err"] < tol["p12"]
         assert payload["max_identity"] < tol["identity"]
 
         row = payload["results"][0]
-        assert set(row) == {"index", "sigma_err", "j_err", "cubic", "p12_err",
+        assert set(row) == {"index", "roundtrip_err", "cubic", "p12_err",
                             "identity", "trace_closed_form_err", "pass"}
 
         csv_lines = (out1 / "roundtrip.csv").read_text().splitlines()
-        assert csv_lines[0].startswith("index,sigma_err,j_err")
+        assert csv_lines[0].startswith("index,roundtrip_err,cubic")
         assert len(csv_lines) == 5
 
         # Same arguments produce byte-identical reports.
@@ -199,7 +276,7 @@ class TestLimitsCommand:
         assert payload["expected_exponent"] == 0.5
         assert abs(payload["y_correction_exponent"] - 0.5) < 0.1
         assert payload["ladder"][0] == pytest.approx(1e-6)
-        assert "degraded" in payload and "decay_exponent" in payload
+        assert "degraded" in payload
 
     def test_movable_pole_produces_partial_report(self, tmp_path, monkeypatch,
                                                   capsys):

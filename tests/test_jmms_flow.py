@@ -18,6 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from isolab import jmms_flow
+from isolab.cli_harness import flow_checks, rhs_checks
 from isolab.errors import DomainError, SingularityError
 from isolab.jmms_flow import (
     ShrinkReport,
@@ -27,7 +28,6 @@ from isolab.jmms_flow import (
     flow,
     flow_path,
     jmms_rhs,
-    jmms_rhs_commutator,
     phi_from_omega,
     shrinking_check,
     spectral_drift,
@@ -57,9 +57,7 @@ class TestRightHandSides:
             u = random_u(rng)
             m = random_state(rng)
             k = int(rng.integers(0, 3))
-            a = jmms_rhs(u, m, k)
-            b = jmms_rhs_commutator(u, m, k)
-            worst = max(worst, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a)))))
+            worst = max(worst, dict(rhs_checks(u, m, k))["rhs_equivalence"])
         assert worst < 1e-13
 
     def test_equivalence_n4(self):
@@ -68,8 +66,7 @@ class TestRightHandSides:
             u = random_u(rng, 4)
             m = random_state(rng, 4)
             for k in range(4):
-                assert_allclose(jmms_rhs(u, m, k), jmms_rhs_commutator(u, m, k),
-                                rtol=0, atol=1e-12)
+                assert dict(rhs_checks(u, m, k))["rhs_equivalence"] < 1e-12
 
     def test_b_field_forms_agree(self):
         rng = np.random.default_rng(73)
@@ -151,9 +148,9 @@ class TestFlow:
         rng = np.random.default_rng(820)
         m = random_state(rng)
         path = [2.0 * random_u(rng, minsep=0.8) for _ in range(6)]
-        out = flow_path(path, m)
-        assert diag_drift(m, out) < 1e-12
-        assert spectral_drift(m, out) < 1e-10
+        err = dict(flow_checks(m, flow_path(path, m)))
+        assert err["flow_diag"] < 1e-12
+        assert err["flow_spectrum"] < 1e-10
 
     def test_single_coordinate_flow_matches_rhs_integration(self):
         # moving only one coordinate, the directional transport must agree
@@ -338,15 +335,15 @@ class TestBandTowardSigma:
 
     def test_band_converges_for_bridged_state(self):
         from isolab.arrows import PviAsymptoticData
-        from isolab.cli_harness import U_BASE, bridged_phi_at_u0
+        from isolab.cli_harness import U_BASE, bridged_phi_at_u0, shrink_checks
 
         d = PviAsymptoticData(0.21, -0.33, 0.41, 0.52, 0.45, 1.1)
         phi = bridged_phi_at_u0(d, x_seed=1e-3, rtol=1e-9)
         rep = shrinking_check(np.array(U_BASE), phi, reach=1e4, n_checkpoints=10)
-        target = abs(d.sigma.real)
-        assert abs(rep.bands[-1] - target) < 5e-3
+        band = dict(shrink_checks(d, rep))["shrink_band"]
+        assert band < 5e-3
         # the ray genuinely contracts the band toward the target
-        assert abs(rep.bands[-1] - target) < 0.2 * abs(rep.bands[0] - target)
+        assert band < 0.2 * abs(rep.bands[0] - abs(d.sigma.real))
 
 
 class TestBridge:

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from isolab.arrows import PviAsymptoticData, arrow_q
 from isolab.core_linalg import delta_k
-from isolab.cli_harness import SampleSpec, sample_parameters
+from isolab.cli_harness import SampleSpec, ladder_checks, sample_parameters
 from isolab.errors import ConvergenceError, DomainError, SingularityError
 from isolab import pvi_trajectory
 from isolab.pvi_trajectory import (
@@ -31,7 +31,6 @@ from isolab.pvi_trajectory import (
     correction_powers,
     extend_trajectory,
     extrapolate_known_powers,
-    extrapolate_single_power,
     gamma_exponents,
     omega_from_state,
     a_matrix,
@@ -248,26 +247,6 @@ class TestTrajectory:
 class TestExtrapolation:
     """Power-law extrapolators on synthetic data."""
 
-    def test_single_power_recovery(self):
-        xs = [1e-4, 2e-4, 4e-4, 8e-4]
-        limit, coeff, power = 1.3 - 0.7j, 0.9 + 0.2j, 0.62
-        vals = [limit + coeff * x ** power for x in xs]
-        got_l, got_p, got_c = extrapolate_single_power(xs, vals)
-        assert_allclose(got_l, limit, rtol=1e-9)
-        assert abs(got_p - power) < 1e-6
-        assert_allclose(got_c, abs(coeff), rtol=1e-5)
-
-    def test_single_power_flat_data(self):
-        xs = [1e-4, 2e-4, 4e-4]
-        vals = [2.0 + 1.0j] * 3
-        got_l, got_p, _ = extrapolate_single_power(xs, vals)
-        assert got_l == 2.0 + 1.0j
-        assert got_p is None
-
-    def test_single_power_needs_three_points(self):
-        with pytest.raises(DomainError):
-            extrapolate_single_power([1e-4, 2e-4], [1.0, 2.0])
-
     def test_known_powers_recovery(self):
         sigma = 0.3
         powers = correction_powers(sigma)
@@ -291,27 +270,23 @@ class TestRegularizedLimits:
 
     def test_b_family_converges_to_boundary_value(self):
         rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)
-        phi0 = arrow_q(D_REAL).phi0
-        assert np.max(np.abs(rep.b_limit - phi0)) < 1e-5
+        assert dict(ladder_checks(D_REAL, rep))["ladder_entry"] < 1e-5
 
     def test_a_family_converges_to_truncated_boundary_value(self):
         rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)
         assert np.max(np.abs(rep.a_limit - delta_k(arrow_q(D_REAL).phi0, 2))) < 1e-5
 
     def test_exponent_reports(self):
-        # y correction: slope of y/(J x^(1-sigma)) - 1 -> min(Re s, 1 - Re s);
-        # A-family decay: x^sigma corrections cancel -> 1 - Re s
+        # y correction: slope of y/(J x^(1-sigma)) - 1 -> min(Re s, 1 - Re s)
         rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)
-        assert abs(rep.y_correction_exponent - 0.5) < 0.1
-        assert abs(rep.decay_exponent - 0.5) < 0.1
+        assert dict(ladder_checks(D_REAL, rep))["ladder_exponent"] < 0.1
         assert not rep.degraded
 
     def test_exponent_reports_complex_sigma(self):
         rep = regularized_limits(D_COMPLEX, x_small=1e-5, n_ladder=14, rtol=1e-11)
-        assert abs(rep.y_correction_exponent - 0.3) < 0.1
-        assert abs(rep.decay_exponent - 0.7) < 0.1
-        phi0 = arrow_q(D_COMPLEX).phi0
-        assert np.max(np.abs(rep.b_limit - phi0)) < 1e-5
+        err = dict(ladder_checks(D_COMPLEX, rep))
+        assert err["ladder_exponent"] < 0.1
+        assert err["ladder_entry"] < 1e-5
 
     def test_degraded_flag_near_power_collision(self):
         # sigma = 0.52: the correction powers 0.52 and 0.48 nearly collide

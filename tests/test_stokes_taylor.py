@@ -17,7 +17,8 @@ import pytest
 
 from isolab import stokes_numeric
 from isolab.arrows import arrow_g, arrow_q
-from isolab.cli_harness import SampleSpec, U_BASE, bridged_phi_at_u0, sample_parameters
+from isolab.cli_harness import (SampleSpec, U_BASE, bridged_phi_at_u0, sample_parameters,
+                                stokes_checks)
 from isolab.errors import BudgetError, DomainError
 from isolab.ode_engine import integrate
 from isolab.stokes_numeric import (IrregularSystem, canonical_frame, continue_frame,
@@ -201,18 +202,16 @@ class TestContourPlan:
         num = stokes_matrices(IrregularSystem(U_BASE, bridged_phi_at_u0(d)),
                               rtol=1e-12)
         assert num.radius > 70.0
-        entry = max(float(np.max(np.abs(num.s_plus - closed.s_plus))),
-                    float(np.max(np.abs(num.s_minus - closed.s_minus))))
-        assert entry < TOL_STOKES_ENTRY
-        assert num.triangularity_residual < TOL_STOKES_TRI
+        err = dict(stokes_checks(closed, num))
+        assert err["stokes_entry"] < TOL_STOKES_ENTRY
+        assert err["stokes_triangularity"] < TOL_STOKES_TRI
 
 
 def _bridged_entry_error(seed: int, index: int) -> float:
     d = sample_parameters(SampleSpec(seed=seed, narrow=True), index)
     closed = arrow_g(arrow_q(d))
     num = stokes_matrices(IrregularSystem(U_BASE, bridged_phi_at_u0(d)), rtol=1e-12)
-    return max(float(np.max(np.abs(num.s_plus - closed.s_plus))),
-               float(np.max(np.abs(num.s_minus - closed.s_minus))))
+    return dict(stokes_checks(closed, num))["stokes_entry"]
 
 
 class TestBridgeRegression:

@@ -4,8 +4,8 @@ For each seed and both sampler boxes (the default box and the narrow one),
 draw ``i`` of ``SampleSpec(seed, narrow=...)`` runs through
 
 * the cycle Q -> G -> P -> F (``arrow_q``, ``arrow_g``, ``arrow_p``,
-  ``arrow_f``), checked against the Fricke cubic at the ``TOL_CUBIC`` of
-  ``tests/test_acceptance.py``;
+  ``arrow_f``), whose ``cubic`` check of ``cli_harness.closed_form_checks``
+  is held to the ``TOL_CUBIC`` of ``tests/test_acceptance.py``;
 * ``arrow_q_inverse(arrow_q(d))``;
 * ``arrow_g_direct(d, 1.3-0.2j, 0.8+0.5j)``;
 * ``genericity_margin(d)`` and ``sorted(validate_generic(d, tol=0.05))``,
@@ -24,22 +24,26 @@ they can be compared with ``diff``.  The run time goes to standard error.
 from __future__ import annotations
 
 import argparse
-import ast
 import hashlib
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
+
+# perfbench's run module pins the BLAS threads before numpy loads
+from run import load_tolerances  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 from isolab.arrows import (  # noqa: E402
     arrow_f, arrow_g, arrow_g_direct, arrow_p, arrow_q, arrow_q_inverse,
-    cubic_residual, genericity_margin, validate_generic)
-from isolab.cli_harness import SampleSpec, sample_parameters  # noqa: E402
+    genericity_margin, validate_generic)
+from isolab.cli_harness import (  # noqa: E402
+    SampleSpec, closed_form_checks, sample_parameters)
 from isolab.errors import IsolabError  # noqa: E402
 
 #: Gauge of the ``arrow_g_direct`` call, away from the k1 = k2 = 1 default.
@@ -50,23 +54,14 @@ GAUGE = (1.3 - 0.2j, 0.8 + 0.5j)
 GENERIC_TOL = 0.05
 
 
-def tol_cubic() -> float:
-    """TOL_CUBIC, read from the acceptance tests."""
-    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    for node in tree.body:
-        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "TOL_CUBIC"):
-            return float(ast.literal_eval(node.value))
-    raise SystemExit("TOL_CUBIC not found in tests/test_acceptance.py")
-
-
 def _cycle(d):
     b = arrow_q(d)
     s = arrow_g(b)
     m = arrow_p(s, d.thetas)
     sigma, j = arrow_f(m, d.thetas)
     traces = [m.p12, m.p13, m.p23, m.p1, m.p2, m.p3, m.p_inf]
-    return [b.phi0, s.s_plus, s.s_minus, traces, [sigma, j]], cubic_residual(m)
+    cubic = dict(closed_form_checks(d, m, (sigma, j)))["cubic"]
+    return [b.phi0, s.s_plus, s.s_minus, traces, [sigma, j]], cubic
 
 
 def _inverse(d):
@@ -105,9 +100,9 @@ def digest_box(spec: SampleSpec, draws: int, tol: float, notes: list[str]):
                 continue
             for out in outs:
                 h.update(np.asarray(out, dtype=complex).tobytes())
-            if cubic is not None and not abs(cubic) < tol:
+            if cubic is not None and not cubic < tol:
                 misses += 1
-                notes.append(f"seed {spec.seed} {box} {i}: cubic {abs(cubic):.6e}")
+                notes.append(f"seed {spec.seed} {box} {i}: cubic {cubic:.6e}")
     return h.hexdigest(), misses, errors
 
 
@@ -122,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--draws", type=int, default=4000,
                     help="draws 0..N-1 per seed and box")
     args = ap.parse_args(argv)
-    tol = tol_cubic()
+    tol = load_tolerances(ROOT / "tests" / "test_acceptance.py")["TOL_CUBIC"]
 
     t0 = time.perf_counter()
     total = hashlib.sha256()
