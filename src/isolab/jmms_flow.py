@@ -56,6 +56,12 @@ __all__ = [
 
 #: absolute tolerance of every flow integration
 _ATOL = 1e-14
+#: step budget of one flow segment and of one shrinking-ray segment
+_FLOW_MAX_STEPS = 500_000
+_SHRINK_MAX_STEPS = 2_000_000
+#: two u-coordinates collide along a segment when their distance falls below
+#: this times the pair's magnitude (at least 1)
+_COLLISION_TOL = 1e-9
 
 
 def _coerce(u, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +191,7 @@ def _flow_rhs(u0: np.ndarray, v: np.ndarray):
     return rhs
 
 
-def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12,
-         max_steps: int = 500_000, collision_tol: float = 1e-9) -> np.ndarray:
+def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12) -> np.ndarray:
     """Transport Phi along the straight segment from u_start to u_end.
 
     Uses the directional form dPhi/dt = [W o Phi, Phi] with
@@ -196,19 +201,17 @@ def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12,
     u1 = np.asarray(u_end, dtype=complex)
     if u1.shape != u0.shape:
         raise DomainError("u_end must have the same length as u_start")
-    _segment_collision_check(u0, u1, collision_tol)
+    _segment_collision_check(u0, u1, _COLLISION_TOL)
     v = u1 - u0
     if np.max(np.abs(v)) == 0.0:
         return m0.copy()
     rhs = _flow_rhs(u0, v)
     sol = integrate(rhs, 0.0, 1.0, m0.ravel(), rtol=rtol, atol=_ATOL,
-                    max_steps=max_steps)
+                    max_steps=_FLOW_MAX_STEPS)
     return sol.y_end.reshape(m0.shape)
 
 
-def flow_path(points, phi_start, *, rtol: float = 1e-12,
-              max_steps: int = 500_000, collision_tol: float = 1e-9,
-              record: bool = False):
+def flow_path(points, phi_start, *, rtol: float = 1e-12, record: bool = False):
     """Transport Phi along the polygonal u-space path through ``points``.
 
     Returns the final Phi, or the list of Phi at every path point when
@@ -220,8 +223,7 @@ def flow_path(points, phi_start, *, rtol: float = 1e-12,
     phi = as_matrix(phi_start, pts[0].shape[0]).copy()
     recorded = [phi.copy()] if record else None
     for a, b in zip(pts[:-1], pts[1:]):
-        phi = flow(a, b, phi, rtol=rtol, max_steps=max_steps,
-                   collision_tol=collision_tol)
+        phi = flow(a, b, phi, rtol=rtol)
         if recorded is not None:
             recorded.append(phi.copy())
     return recorded if record else phi
@@ -305,7 +307,7 @@ def _shrink_rhs(uu: np.ndarray, k: int, direction: complex, delta: np.ndarray):
 
 def shrinking_check(u0, phi0, ray: complex | None = None, *,
                     reach: float = 1e8, n_checkpoints: int = 15,
-                    rtol: float = 1e-12, max_steps: int = 2_000_000) -> ShrinkReport:
+                    rtol: float = 1e-12) -> ShrinkReport:
     """Flow the last u-coordinate out along a ray and record the block band.
 
     The band -- the largest |Re(lambda_i - lambda_j)| over the upper-left
@@ -373,10 +375,11 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
     bands = [_band(psi)]
     nfev = naccept = nreject = 0
     for s_a, s_b in zip(stops[:-1], stops[1:]):
-        _segment_collision_check(u_of(s_a), u_of(s_b), 1e-9)
+        _segment_collision_check(u_of(s_a), u_of(s_b), _COLLISION_TOL)
         try:
             sol = integrate(rhs, math.log1p(s_a * speed), math.log1p(s_b * speed),
-                            psi.ravel(), rtol=rtol, atol=_ATOL, max_steps=max_steps)
+                            psi.ravel(), rtol=rtol, atol=_ATOL,
+                            max_steps=_SHRINK_MAX_STEPS)
         except SingularityError as exc:
             s_pole = math.expm1(exc.location) / speed
             raise SingularityError(f"{exc} in tau = log1p(s |ray| / |u_k|), "

@@ -37,20 +37,25 @@ most 24.  Triangularity and the diagonal law of the resulting matrices are
 Every continuation, down the ray and along the dumbbell, steps with the
 Taylor series of the system itself.  Multiplied by z the ODE is linear with
 polynomial coefficients, z F' = (zU + Phi) F, so about any z0 != 0 its Taylor
-coefficients obey a three-term recurrence, one 3x3 product per term
-(holonomic continuation: van der Hoeven, Theor. Comput. Sci. 210, 1999;
-Mezzarobba, arXiv:1607.01967).  ``rtol`` bounds the summed truncation tail of
-each continuation; a step that needs more than ``_MAX_TERMS`` terms raises
-:class:`BudgetError`.  By default each arc of radius 1.5 is a polygon of 8
-chords; a chord (0.59) is shorter than half the distance to 0 (0.75), so it
-is one Taylor step unless the spread of u asks for shorter ones.  The result
-reports the steps, the terms and the summed tail.
+coefficients obey a three-term recurrence (holonomic continuation: van der
+Hoeven, Theor. Comput. Sci. 210, 1999; Mezzarobba, arXiv:1607.01967).  The
+recurrence acts on the frame from the left, so run on the identity it gives
+each step's 3x3 transition matrix, which does not depend on the frame it
+carries.  ``rtol`` bounds the summed truncation tail of each continuation; a
+step that needs more than ``_MAX_TERMS`` terms raises :class:`BudgetError`.
+By default each arc of radius 1.5 is a polygon of 8 chords; a chord (0.59)
+is shorter than half the distance to 0 (0.75), so it is one Taylor step
+unless the spread of u asks for shorter ones.  The result reports the steps,
+the terms and the summed tail.
 
 The four continuations come in two mirrored pairs: F- runs from -2R down to
 -R and around the upper dumbbell, which is F+'s path from 2R with z -> -z.
-The recurrence is linear, so each pair is stepped as one stack: one step
-plan, and one term loop whose 3x3 products act on both frames at once.  The
-work counts are still per continuation, summed over all four.
+The transitions of the steps of both pairs, the ray's and the dumbbell's,
+come from one run of the recurrence over up to ``_BATCH_STEPS`` steps' (frame,
+step) rows at once (all of them on the default contour), each row stopping
+by its own rule; the frames then take their steps as 3x3 products in plan
+order.  The work counts are per row, summed over all four
+continuations.
 """
 
 from __future__ import annotations
@@ -91,8 +96,8 @@ _MAX_ORDER = 24
 #: A Taylor step sums terms down to rtol / max(steps in the plan, _MIN_SHARE),
 #: so a short plan does not loosen the per-step threshold.
 _MIN_SHARE = 1000
-#: Absolute floor of a frame column's scale in a Taylor step, over rtol.
-_ATOL = 1e-14
+#: Taylor steps whose transitions one run of the recurrence makes at once.
+_BATCH_STEPS = 1024
 #: The formal series is evaluated at this multiple of the frame's |z|.
 _SERIES_FACTOR = 2.0
 #: Radius of the dumbbell's arcs round the Fuchsian point.
@@ -219,37 +224,12 @@ class _TaylorWork:
     tail: float = 0.0
 
 
-def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
-                 rtol: float, work: _TaylorWork) -> np.ndarray:
-    """Continue a stack of frame values along mirrored copies of one polygon.
+def _step_plan(u: np.ndarray, vertices) -> list[tuple[complex, complex]]:
+    """Taylor steps (z0, h) along the polygon through ``vertices``.
 
-    Frame ``f[j]`` follows the polygon through ``signs[j] * vertices``, with
-    ``signs[j]`` = +1 or -1.  Multiplied by z the system reads
-    z F' = (z U + Phi) F, so about z0 != 0 the Taylor coefficients of F obey
-    the three-term recurrence
-
-        c_{k+1} = ((z0 U + Phi - k) c_k + U c_{k-1}) / (z0 (k+1)),
-
-    summed here in the scaled form d_k = c_k h^k for a step h, so no term
-    overflows.  U is first centred (F = e^{cz} G, c midway between u_1 and
-    u_n): a scalar factor, which leaves the columns' relative size alone and
-    bounds the phase |(u_k - c) h| by spread(u) |h| / 2.  A step is at most
-    |z0|/2, inside the disc of convergence that reaches to the Fuchsian
-    point 0, and at most 2 * _PHASE_STEP / spread(u).
-    The steps are planned first, once for the whole stack: negating the
-    polygon negates every (z0, h) of the plan exactly, and h / z0 is shared.
-    ``rtol`` is shared among the steps: a step ends after two consecutive
-    terms of every frame fall below rtol / max(number of steps, _MIN_SHARE)
-    times that frame's column scale max|F_col| + _ATOL/rtol, so no frame sums
-    fewer terms than it would alone, and the summed tail of each frame's
-    path (added to ``work.tail``) stays below ``rtol``.  ``work`` counts the
-    steps and terms of every frame.
+    A step is at most |z0|/2, inside the disc of convergence that reaches to
+    the Fuchsian point 0, and at most 2 * _PHASE_STEP / spread(u).
     """
-    if not rtol > 0.0:
-        raise DomainError("rtol must be positive")
-    u = system.u
-    centre = 0.5 * (u[0] + u[-1])
-    v = u - centre
     hmax = 2.0 * _PHASE_STEP / abs(u[-1] - u[0])
     plan: list[tuple[complex, complex]] = []
     pts = [complex(p) for p in vertices]
@@ -267,37 +247,109 @@ def _taylor_path(system: IrregularSystem, f: np.ndarray, vertices, signs,
             plan.append((z, h))
             z += h
         plan.append((z, zb - z))
-    tol = rtol / max(len(plan), _MIN_SHARE)
-    floor = _ATOL / rtol
-    f = np.asarray(f, dtype=complex)
-    m = f.shape[0]
-    sv = np.multiply.outer(signs, v)  # row j: signs[j] * v
-    eye = np.eye(system.n)
-    for z, h in plan:
-        b = system.phi + (z * sv)[:, :, None] * eye
-        hv = (h * sv)[:, :, None]
+    return plan
+
+
+def _transitions(system: IrregularSystem, steps, signs, work: _TaylorWork):
+    """Yield, step by step, the transitions of the stack's frames.
+
+    ``steps`` holds (z0, h, tol) per step; frame j takes the step
+    signs[j] * (z0, h), and the yielded (len(signs), n, n) array holds the
+    transition T_j, F_j(z0 + h) = T_j F_j(z0), of each frame.  The recurrence
+    of :func:`_taylor_path` runs on c_0 = Id over every (step, frame sign) row
+    of up to ``_BATCH_STEPS`` steps at once, the rows along the last axis, so
+    Phi acts on all of them in one product and the memory does not grow with
+    the plan.  A row ends after two consecutive terms of max-entry at most
+    its step's tol; ``work`` counts the steps and the terms of every row,
+    each under its own rule, and sums every row's last term.
+    """
+    n = system.n
+    u = system.u
+    centre = 0.5 * (u[0] + u[-1])
+    v = u - centre
+    signs = np.asarray(signs, dtype=float)
+    for first in range(0, len(steps), _BATCH_STEPS):
+        batch = steps[first:first + _BATCH_STEPS]
+        # row (step i, frame j) is signs[j] times step i
+        z = np.multiply.outer([step[0] for step in batch], signs).ravel()
+        h = np.multiply.outer([step[1] for step in batch], signs).ravel()
+        tol = np.repeat([step[2] for step in batch], len(signs))
+        rows = len(z)
+        zv = np.multiply.outer(v, z)[:, None, :]
+        hv = np.multiply.outer(v, h)[:, None, :]
         q = h / z
-        scale = np.max(np.abs(f), axis=1, keepdims=True) + floor
-        term = f / scale
+        term = np.multiply.outer(np.eye(n, dtype=complex), np.ones(rows))
         prev = np.zeros_like(term)
         total = term.copy()
-        k = small = 0
-        while small < 2:
+        terms = np.zeros(rows, dtype=int)
+        small = np.zeros(rows, dtype=int)
+        last = np.zeros(rows)
+        active = np.ones(rows, dtype=bool)
+        k = 0
+        while active.any():
             if k == _MAX_TERMS:
+                i = int(np.argmax(active))
                 raise BudgetError(
-                    f"Taylor step {h:.3g} at z = {z:.6g} did not converge in "
+                    f"Taylor step {h[i]:.3g} at z = {z[i]:.6g} did not converge in "
                     f"{_MAX_TERMS} terms"
                 )
-            prev, term = term, (q / (k + 1)) * (b @ term - k * term + hv * prev)
-            total += term
+            phi_term = (system.phi @ term.reshape(n, -1)).reshape(term.shape)
+            prev, term = term, (q / (k + 1)) * (phi_term + (zv - k) * term + hv * prev)
             k += 1
-            small = small + 1 if abs(term).max() <= tol else 0
-        grow = np.array([cmath.exp(sj * centre * h) for sj in signs])
-        f = total * (scale * grow[:, None, None])
-        work.steps += m
-        work.terms += m * k
-        work.tail += float(np.sum(np.max(np.abs(term), axis=(1, 2))))
-    return f
+            np.add(total, term, out=total, where=active)
+            size = np.abs(term).max(axis=(0, 1))
+            small = np.where(size <= tol, small + 1, 0)
+            terms += active
+            last = np.where(active, size, last)
+            active &= small < 2
+        total *= np.exp(centre * h)
+        work.steps += rows
+        work.terms += int(terms.sum())
+        work.tail += float(last.sum())
+        yield from total.transpose(2, 0, 1).reshape(len(batch), len(signs), n, n)
+
+
+def _taylor_path(system: IrregularSystem, f: np.ndarray, legs, signs,
+                 rtol: float, work: _TaylorWork) -> list[np.ndarray]:
+    """Continue a stack of frames along mirrored copies of a chain of polygons.
+
+    Frame ``f[j]`` follows each leg of ``legs`` in turn (a leg starts where
+    the one before it ended) through ``signs[j] * vertices``, ``signs[j]`` =
+    +1 or -1; the stack of frames at the end of each leg is returned.  The
+    plan of steps is made once, so the mirrored steps are its exact negation.
+    Multiplied by z the system reads z F' = (z U + Phi) F, so about z0 != 0
+    the Taylor coefficients of F obey
+
+        c_{k+1} = ((z0 U + Phi - k) c_k + U c_{k-1}) / (z0 (k+1)),
+
+    which acts on c_0 = F(z0) from the left: run on c_0 = Id it gives the
+    step's transition T, F(z0 + h) = T F(z0), for any frame.  The recurrence,
+    in the scaled form d_k = c_k h^k so no term overflows, makes the
+    transitions of many (frame sign, step) rows of the legs at once
+    (:func:`_transitions`); the frames then take them in plan order.  U is
+    first centred (F = e^{cz} G, c midway between u_1 and u_n, the scalar
+    e^{ch} folded into T), which bounds the phase |(u_k - c) h| by
+    spread(u) |h| / 2.
+    A row ends after two consecutive terms of max-entry at most tol / n,
+    tol = rtol / max(steps in its leg, _MIN_SHARE).  A frame's term is the
+    row's term times the frame, and |F / max|F_col|| <= 1 entrywise, so each
+    frame's term is then below tol times its column scale, and the summed
+    tail of a frame's path stays below ``rtol``.
+    """
+    if not rtol > 0.0:
+        raise DomainError("rtol must be positive")
+    n = system.n
+    plans = [_step_plan(system.u, vertices) for vertices in legs]
+    steps = [(z0, h, rtol / max(len(leg), _MIN_SHARE) / n)
+             for leg in plans for z0, h in leg]
+    transitions = _transitions(system, steps, signs, work)
+    f = np.asarray(f, dtype=complex)
+    ends = []
+    for leg in plans:
+        for _ in leg:
+            f = next(transitions) @ f
+        ends.append(f)
+    return ends
 
 
 def _series_frame(system: IrregularSystem, z: complex, log_z: complex,
@@ -328,24 +380,25 @@ def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
     z2 = z * _SERIES_FACTOR
     hs = _planned_series(system, order, abs(z2), rtol)
     f2 = _series_frame(system, z2, log_z + math.log(_SERIES_FACTOR), hs)
-    return _taylor_path(system, [f2], [z2, z], (1,), rtol, _TaylorWork())[0]
+    return _taylor_path(system, [f2], [[z2, z]], (1,), rtol, _TaylorWork())[0][0]
 
 
 def continue_frame(system: IrregularSystem, f0: np.ndarray, contour, *,
                    rtol: float = 1e-12) -> np.ndarray:
     """Analytically continue a frame value along a polygonal contour."""
-    return _taylor_path(system, [f0], contour, (1,), rtol, _TaylorWork())[0]
+    return _taylor_path(system, [f0], [contour], (1,), rtol, _TaylorWork())[0][0]
 
 
 @dataclass
 class StokesNumericResult:
     """Stokes pair with its structural residuals and the work that made it.
 
-    ``steps`` and ``terms`` count the Taylor steps and the series terms of
-    the four continuations, each continuation counted on its own although
-    the mirrored pairs are stepped as one stack; ``tail_bound`` sums the last
-    term of every step of every continuation, relative to the frame's column
-    scale: an estimate of the accumulated truncation error before
+    ``steps`` counts the Taylor steps of the four continuations, and
+    ``terms`` the series terms of each step's transition, each (frame, step)
+    row under its own stopping rule although many rows share one run of the
+    recurrence; ``tail_bound`` sums the max-entry of every row's last term.
+    A frame's last term, relative to its column scale, is at most n times
+    its row's, so this estimates the accumulated truncation error before
     propagation.
     """
 
@@ -371,9 +424,9 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
                     rtol: float = 1e-12, check_tol: float = 1e-5) -> StokesNumericResult:
     """Compute (S+, S-) numerically via dumbbell continuation.
 
-    Two stacked Taylor continuations make the four frame values: (F+ from
-    2R, F- from -2R) down to +-R, then (F+(R), F-(-R)) around the lower
-    dumbbell and its negation.
+    One batched Taylor continuation makes the four frame values: (F+ from
+    2R, F- from -2R) down to +-R, where F+(R) and F-(-R) are read, and on
+    around the lower dumbbell and its negation.
 
     The contour is planned from the formal series: R defaults to
     :func:`default_radius`, and the series, evaluated at 2R, is truncated at
@@ -396,18 +449,14 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     ln_r2 = math.log(r) + math.log(_SERIES_FACTOR)
     work = _TaylorWork()
     # F+ from its series at 2R and F- from its series at -2R (arg -pi), each
-    # continued down its ray to |z| = R; the second path mirrors the first
-    f_plus_r, f_minus_mr = _taylor_path(
+    # continued down its ray to |z| = R; then F+ continued clockwise through
+    # the lower half-plane, arg 0 -> -pi, and F- clockwise on its sheet along
+    # the mirrored dumbbell, arg -pi -> -2 pi (upper half-plane)
+    lower = [r] + _arc(_RHO, 0.0, -math.pi, n_arc) + [-r]
+    (f_plus_r, f_minus_mr), (fp_cont, fm_cont) = _taylor_path(
         system, [_series_frame(system, r2, ln_r2, hs),
                  _series_frame(system, -r2, ln_r2 - 1j * math.pi, hs)],
-        [r2, r], (1, -1), rtol, work)
-
-    # F+ continued clockwise through the lower half-plane: arg 0 -> -pi; F-
-    # continued clockwise on its sheet along the mirrored dumbbell: arg -pi
-    # -> -2 pi (upper half-plane)
-    lower = [r] + _arc(_RHO, 0.0, -math.pi, n_arc) + [-r]
-    fp_cont, fm_cont = _taylor_path(system, [f_plus_r, f_minus_mr], lower, (1, -1),
-                                    rtol, work)
+        [[r2, r], lower], (1, -1), rtol, work)
 
     diag = np.diag(system.phi)
     e_minus = np.exp(-1j * math.pi * diag)

@@ -53,6 +53,14 @@ def _exact(z, log_z):
     return np.diag(np.exp(U3 * z + np.diag(PHI_DIAG) * log_z))
 
 
+def _nondiagonal_case():
+    """A non-diagonal system, a lower dumbbell of radius 8 and a start frame."""
+    rng = np.random.default_rng(11)
+    phi = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    contour = [8.0] + _arc(1.5, 0.0, -math.pi, 16) + [-8.0]
+    return IrregularSystem(U3, phi), contour, np.eye(3, dtype=complex) + 0.1 * phi
+
+
 class TestTaylorContinuation:
     """The frame continuation of ``continue_frame`` and ``stokes_matrices``."""
 
@@ -74,24 +82,44 @@ class TestTaylorContinuation:
         assert np.max(rel) < 1e-12
 
     def test_matches_dp5_on_nondiagonal_system(self):
-        rng = np.random.default_rng(11)
-        phi = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        system = IrregularSystem(U3, phi)
-        contour = [8.0] + _arc(1.5, 0.0, -math.pi, 16) + [-8.0]
-        f0 = np.eye(3, dtype=complex) + 0.1 * phi
+        system, contour, f0 = _nondiagonal_case()
 
         def rhs(z, state):
-            return ((np.diag(U3) + phi / z) @ state.reshape(3, 3)).ravel()
+            return ((np.diag(U3) + system.phi / z) @ state.reshape(3, 3)).ravel()
 
         ode = _integrate_polygon(rhs, contour, f0.ravel(), rtol=1e-12,
                                  atol=1e-14).reshape(3, 3)
         got = continue_frame(system, f0, contour)
         assert np.max(np.abs(got - ode)) / np.max(np.abs(ode)) < 1e-10
 
+    def test_right_linear_in_the_frame(self):
+        # each step's transition acts on the frame from the left, so a
+        # frame F0 C continues to F C
+        system, contour, f0 = _nondiagonal_case()
+        c = np.array([[1.0, 0.5j, -0.2], [0.3, 2.0, 0.1 - 0.4j], [-0.7j, 0.2, 0.5]])
+        want = continue_frame(system, f0, contour) @ c
+        got = continue_frame(system, f0 @ c, contour)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+
+    def test_batches_of_steps_agree_with_one_batch(self, monkeypatch):
+        # the 78 steps of the default contour (39 per frame sign) fit one
+        # batch; batches of 5 steps end inside both legs
+        system, _, _ = _nondiagonal_case()
+        whole = stokes_matrices(system)
+        monkeypatch.setattr(stokes_numeric, "_BATCH_STEPS", 5)
+        split = stokes_matrices(system)
+        assert split.steps == whole.steps == 78
+        assert split.terms == whole.terms
+        assert split.tail_bound == pytest.approx(whole.tail_bound, rel=1e-12)
+        for got, want in ((split.s_plus, whole.s_plus), (split.s_minus, whole.s_minus)):
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
+
     def test_term_cap_raises_budget_error(self, monkeypatch):
         system = IrregularSystem(U3, PHI_DIAG)
         monkeypatch.setattr(stokes_numeric, "_MAX_TERMS", 3)
-        with pytest.raises(BudgetError, match="did not converge"):
+        # the one step of the plan, from z = 4 to 2, is named
+        with pytest.raises(BudgetError,
+                           match=r"Taylor step -2\+0j at z = 4\+0j did not converge"):
             continue_frame(system, np.eye(3, dtype=complex), [4.0, 2.0])
 
     def test_contour_through_origin_rejected(self):
