@@ -711,6 +711,11 @@ def p23_p13_closed_form(d: PviAsymptoticData) -> tuple[complex, complex]:
 
     Independent closed form used to cross-check arrow_p(arrow_g(arrow_q(d))).
     """
+    return _closed_form_traces(d)[:2]
+
+
+def _closed_form_traces(d: PviAsymptoticData) -> tuple[complex, complex, complex]:
+    """(p23, p13, L) of :func:`p23_p13_closed_form`, with its factor L = _l_factor."""
     _require_generic(d)
     t1, t2, t3, ti = d.thetas
     s, J = d.sigma, d.J
@@ -743,15 +748,14 @@ def p23_p13_closed_form(d: PviAsymptoticData) -> tuple[complex, complex]:
         - (4 / s2) * cmath.exp(1j * pi * s) * sp * lj
         - (4 / s2) * cmath.exp(-1j * pi * s) * sm / lj
     )
-    return p23, p13
+    return p23, p13, el
 
 
 def trace_identity_residual(d: PviAsymptoticData) -> complex:
     """Residual of the identity a + b = d / (L J) tying traces to the leading coefficient."""
-    p23, p13 = p23_p13_closed_form(d)
+    p23, p13, el = _closed_form_traces(d)
     a, b = _ab_terms(d.thetas, d.sigma, p23, p13)
     dd = _d_factor(d.thetas, d.sigma)
-    el = _l_factor(d.thetas, d.sigma)
     return a + b - dd / (el * d.J)
 
 

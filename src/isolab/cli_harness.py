@@ -15,13 +15,16 @@ tests and the tools call it and hold the tolerances.  Subcommands:
 * ``jmms``     -- gate the two forms of the deformation equations against
   each other, the drifts along random flow paths and the band of rays.
 
-Reports are byte-stable across reruns: keys are sorted, floats are emitted
-natively, and no timestamps or host data are recorded.  Sampling is
-deterministic per (seed, index), so a draw does not depend on how many
-others are drawn.
+``roundtrip``, ``stokes`` and ``jmms`` gate their rows through ``_gate`` (one
+tolerance per row key, a ``max_<key>`` per gated key), and every subcommand
+writes ``<command>.json`` and ``<command>.csv`` through ``_write``.  Reports are byte-stable across
+reruns: keys are sorted, floats are emitted natively, and no timestamps or
+host data are recorded.  Sampling is deterministic per (seed, index), so a
+draw does not depend on how many others are drawn.
 
 Exit codes: 0 all checks passed; 1 a computation failed or a tolerance was
-exceeded; 2 usage or configuration error.
+exceeded; 2 usage or configuration error (``--samples`` or ``--n-ladder``
+below 1 among them).
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ __all__ = [
     "SampleSpec",
     "sample_parameters",
     "U_BASE",
-    "BRIDGE_SHEET",
     "bridged_phi_at_u0",
     "closed_form_checks",
     "stokes_checks",
@@ -89,11 +91,12 @@ __all__ = [
 #: The reference three-point configuration for the Stokes comparisons.
 U_BASE = np.array([0.0, 1.0j, 3.0j], dtype=complex)
 
-#: Logarithm sheet of the bridge conjugation scale (u3 - u1); see
-#: ``phi_from_omega``.  The principal sheet makes the numeric Stokes
-#: matrices of the bridged system match the closed-form pair entrywise
-#: (the adjacent sheet is off by e^{2 pi i theta} factors).
-BRIDGE_SHEET = 0
+#: The sampler's box: Re and Im of each theta and of sigma, and |J|.
+RE_THETA = (-0.6, 0.6)
+IM_THETA = (-0.3, 0.3)
+RE_SIGMA = (0.08, 0.92)
+IM_SIGMA = (-0.25, 0.25)
+J_MODULUS = (0.4, 1.8)
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,6 @@ class SampleSpec:
     seed: int = 2026
     margin: float = 0.02
     narrow: bool = False
-    re_theta: tuple[float, float] = (-0.6, 0.6)
-    im_theta: tuple[float, float] = (-0.3, 0.3)
-    re_sigma: tuple[float, float] = (0.08, 0.92)
-    im_sigma: tuple[float, float] = (-0.25, 0.25)
-    j_modulus: tuple[float, float] = (0.4, 1.8)
 
 
 def sample_parameters(spec: SampleSpec, index: int) -> PviAsymptoticData:
@@ -120,15 +118,11 @@ def sample_parameters(spec: SampleSpec, index: int) -> PviAsymptoticData:
     if spec.margin <= 0:
         raise ConfigError("sampler margin must be positive")
     rng = np.random.default_rng([spec.seed, index])
-    jlo, jhi = spec.j_modulus
-    if spec.narrow:
-        jlo, jhi = max(jlo, 0.7), min(jhi, 1.4)
+    jlo, jhi = (0.7, 1.4) if spec.narrow else J_MODULUS
     for _ in range(500):
-        thetas = [
-            complex(rng.uniform(*spec.re_theta), rng.uniform(*spec.im_theta))
-            for _ in range(4)
-        ]
-        sigma = complex(rng.uniform(*spec.re_sigma), rng.uniform(*spec.im_sigma))
+        thetas = [complex(rng.uniform(*RE_THETA), rng.uniform(*IM_THETA))
+                  for _ in range(4)]
+        sigma = complex(rng.uniform(*RE_SIGMA), rng.uniform(*IM_SIGMA))
         j = math.exp(rng.uniform(math.log(jlo), math.log(jhi))) * cmath.exp(
             2j * math.pi * rng.uniform(0.0, 1.0)
         )
@@ -200,22 +194,34 @@ def rhs_checks(u: np.ndarray, phi: np.ndarray, k: int) -> list[tuple[str, float]
 # report plumbing
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+def _gate(rows: list[dict], gates: dict[str, float]) -> tuple[int, dict]:
+    """Pass the rows whose gated keys are below tolerance; count failures, take maxima."""
+    for r in rows:
+        r["pass"] = all(r[key] < tol for key, tol in gates.items())
+    return (sum(not r["pass"] for r in rows),
+            {f"max_{key}": max((r[key] for r in rows), default=None)
+             for key in gates})
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write(args, command: str, payload: dict, rows: list[dict] | None = None) -> None:
+    """Write ``<command>.json`` and, given rows, ``<command>.csv`` under ``--out``.
 
-
-def _out_dir(args) -> Path | None:
-    return Path(args.out) if getattr(args, "out", None) else None
+    The JSON adds the command and the seed and sorts its keys; the CSV has a
+    column per row key, bools as 0/1.
+    """
+    if not args.out:
+        return
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    report = {"command": command, "seed": args.seed, **payload}
+    (out / f"{command}.json").write_text(
+        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    if rows:
+        with (out / f"{command}.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            writer.writerows([int(v) if isinstance(v, bool) else v for v in r.values()]
+                             for r in rows)
 
 
 # --------------------------------------------------------------------------
@@ -240,45 +246,16 @@ def cmd_roundtrip(args) -> int:
         }
 
     results = [work(i) for i in range(args.samples)]
-    tol = {
-        "roundtrip": args.tol_roundtrip,
-        "cubic": args.tol_cubic,
-        "p12": args.tol_p12,
-        "identity": args.tol_identity,
-    }
-    for r in results:
-        r["pass"] = bool(
-            r["roundtrip_err"] < tol["roundtrip"]
-            and r["cubic"] < tol["cubic"]
-            and r["p12_err"] < tol["p12"]
-            and r["identity"] < tol["identity"]
-        )
-    failures = sum(not r["pass"] for r in results)
-    summary = {
-        "command": "roundtrip",
-        "seed": args.seed,
+    gates = {"roundtrip_err": args.tol_roundtrip, "cubic": args.tol_cubic,
+             "p12_err": args.tol_p12, "identity": args.tol_identity}
+    failures, maxima = _gate(results, gates)
+    _write(args, "roundtrip", {
         "samples": args.samples,
-        "tolerances": tol,
-        "failures": failures,
-        "max_roundtrip_err": max(r["roundtrip_err"] for r in results),
-        "max_cubic": max(r["cubic"] for r in results),
-        "max_p12_err": max(r["p12_err"] for r in results),
-        "max_identity": max(r["identity"] for r in results),
-        "results": results,
-    }
-    out = _out_dir(args)
-    if out:
-        _write_json(out / "roundtrip.json", summary)
-        _write_csv(
-            out / "roundtrip.csv",
-            ["index", "roundtrip_err", "cubic", "p12_err", "identity",
-             "trace_closed_form_err", "pass"],
-            [[r["index"], r["roundtrip_err"], r["cubic"], r["p12_err"],
-              r["identity"], r["trace_closed_form_err"], int(r["pass"])]
-             for r in results],
-        )
+        "tolerances": {key.removesuffix("_err"): tol for key, tol in gates.items()},
+        "failures": failures, **maxima, "results": results,
+    }, results)
     print(f"roundtrip: {args.samples - failures}/{args.samples} samples passed "
-          f"(max roundtrip err {summary['max_roundtrip_err']:.3e})")
+          f"(max roundtrip err {maxima['max_roundtrip_err']:.3e})")
     return 0 if failures == 0 else 1
 
 
@@ -289,24 +266,20 @@ def cmd_limits(args) -> int:
                           complex(args.sigma_re, args.sigma_im), base.J)
     if genericity_margin(d) < args.margin:
         raise ConfigError("requested sigma leaves the generic domain for this seed")
+    sigma = [d.sigma.real, d.sigma.imag]
     try:
         rep = regularized_limits(d, x_small=args.x_small, n_ladder=args.n_ladder,
                                  rtol=args.rtol)
     except SingularityError as exc:
         # a movable pole interrupted the ladder: report what is known
-        payload = {
-            "command": "limits",
-            "seed": args.seed,
-            "sigma": [d.sigma.real, d.sigma.imag],
+        _write(args, "limits", {
+            "sigma": sigma,
             "partial": True,
             "pole_location": ([exc.location.real, exc.location.imag]
                               if exc.location is not None else None),
             "error": str(exc),
             "pass": False,
-        }
-        out = _out_dir(args)
-        if out:
-            _write_json(out / "limits.json", payload)
+        })
         print(f"limits: sigma={d.sigma:.4g} movable pole interrupted the "
               f"ladder at {exc.location} FAIL")
         return 1
@@ -314,27 +287,17 @@ def cmd_limits(args) -> int:
     err = check["ladder_entry"]
     ok = err < args.tol and (rep.degraded or check["ladder_exponent"] < 0.1)
     expected_p = min(d.sigma.real, 1.0 - d.sigma.real)
-    payload = {
-        "command": "limits",
-        "seed": args.seed,
-        "sigma": [d.sigma.real, d.sigma.imag],
+    ref = arrow_q(d).phi0
+    _write(args, "limits", {
+        "sigma": sigma,
         "entrywise_err": err,
         "y_correction_exponent": rep.y_correction_exponent,
         "expected_exponent": expected_p,
         "degraded": rep.degraded,
         "ladder": rep.xs,
-        "pass": bool(ok),
-    }
-    out = _out_dir(args)
-    if out:
-        _write_json(out / "limits.json", payload)
-        ref = arrow_q(d).phi0
-        _write_csv(
-            out / "limits.csv",
-            ["x", "entrywise_err_vs_closed_form"],
-            [[x, float(np.max(np.abs(bv - ref)))]
-             for x, bv in zip(rep.xs, rep.b_values)],
-        )
+        "pass": ok,
+    }, [{"x": x, "entrywise_err_vs_closed_form": float(np.max(np.abs(bv - ref)))}
+        for x, bv in zip(rep.xs, rep.b_values)])
     print(f"limits: sigma={d.sigma:.4g} entrywise err {err:.3e} "
           f"exponent {rep.y_correction_exponent} (expected {expected_p:.3g}) "
           f"{'PASS' if ok else 'FAIL'}")
@@ -342,17 +305,18 @@ def cmd_limits(args) -> int:
 
 
 def bridged_phi_at_u0(d: PviAsymptoticData, *, x_seed: float = 1e-5,
-                      rtol: float = 1e-12, sheet: int = BRIDGE_SHEET) -> np.ndarray:
+                      rtol: float = 1e-12) -> np.ndarray:
     """Phi at the reference configuration U_BASE via the trajectory bridge.
 
     Seeds the trajectory with the unit gauge, extends it to the cross-ratio
     x = 1/3 of U_BASE, assembles Omega there and conjugates by the matrix
-    power of the scale u3 - u1 = 3i.
+    power of the scale u3 - u1 = 3i (principal logarithm: its numeric Stokes
+    matrices then match the closed-form pair entrywise).
     """
     seed = seed_asymptotic(d, x_seed, target_rel=1e-9)
     (pt,) = extend_trajectory(d.thetas, seed, [1.0 / 3.0], rtol=rtol)
     om = omega_from_state(d.thetas, pt.x, pt.y, pt.yp, pt.k1, pt.k2)
-    return phi_from_omega(om, d.thetas, U_BASE[2] - U_BASE[0], sheet=sheet)
+    return phi_from_omega(om, d.thetas, U_BASE[2] - U_BASE[0])
 
 
 def cmd_stokes(args) -> int:
@@ -361,8 +325,7 @@ def cmd_stokes(args) -> int:
     def work(i: int) -> dict:
         d = sample_parameters(spec, i)
         closed = arrow_g(arrow_q(d))
-        phi_u = bridged_phi_at_u0(d, sheet=args.sheet)
-        system = IrregularSystem(U_BASE, phi_u)
+        system = IrregularSystem(U_BASE, bridged_phi_at_u0(d))
         num = stokes_matrices(system, rtol=args.rtol)
         err = dict(stokes_checks(closed, num))
         return {
@@ -380,35 +343,12 @@ def cmd_stokes(args) -> int:
         }
 
     results = [work(i) for i in range(args.samples)]
-    for r in results:
-        r["pass"] = bool(r["entrywise_err"] < args.tol)
-    failures = sum(not r["pass"] for r in results)
-    payload = {
-        "command": "stokes",
-        "seed": args.seed,
-        "samples": args.samples,
-        "sheet": args.sheet,
-        "tolerance": args.tol,
-        "failures": failures,
-        "max_entrywise_err": max(r["entrywise_err"] for r in results),
-        "results": results,
-    }
-    out = _out_dir(args)
-    if out:
-        _write_json(out / "stokes.json", payload)
-        _write_csv(
-            out / "stokes.csv",
-            ["index", "entrywise_err", "triangularity_residual",
-             "diag_residual", "monodromy_mismatch", "radius", "series_order",
-             "taylor_steps", "taylor_terms", "tail_bound", "pass"],
-            [[r["index"], r["entrywise_err"], r["triangularity_residual"],
-              r["diag_residual"], r["monodromy_mismatch"], r["radius"],
-              r["series_order"], r["taylor_steps"], r["taylor_terms"],
-              r["tail_bound"], int(r["pass"])]
-             for r in results],
-        )
+    failures, maxima = _gate(results, {"entrywise_err": args.tol})
+    _write(args, "stokes", {"samples": args.samples, "tolerance": args.tol,
+                            "failures": failures, **maxima, "results": results},
+           results)
     print(f"stokes: {args.samples - failures}/{args.samples} samples passed "
-          f"(max entrywise err {payload['max_entrywise_err']:.3e})")
+          f"(max entrywise err {maxima['max_entrywise_err']:.3e})")
     return 0 if failures == 0 else 1
 
 
@@ -446,19 +386,18 @@ def cmd_jmms(args) -> int:
             k = int(rng.integers(0, n))
             equiv = max(equiv, dict(rhs_checks(u, phi, k))["rhs_equivalence"])
         u, phi = _random_flow_state(rng, n)
-        pts = [u]
-        for _ in range(args.path_length):
-            step = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-            pts.append(pts[-1] + step)
-        try:
-            phi_end = flow_path(pts, phi, rtol=args.rtol)
-        except DomainError:
-            # a segment with colliding u-coordinates: retry with a fresh walk
+
+        def walk(scale: float) -> list:
             pts = [u]
             for _ in range(args.path_length):
-                step = 0.15 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-                pts.append(pts[-1] + step)
-            phi_end = flow_path(pts, phi, rtol=args.rtol)
+                pts.append(pts[-1] + scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+            return pts
+
+        # a walk whose u-coordinates collide is retried with shorter steps
+        try:
+            phi_end = flow_path(walk(0.3), phi, rtol=args.rtol)
+        except DomainError:
+            phi_end = flow_path(walk(0.15), phi, rtol=args.rtol)
         err = dict(flow_checks(phi, phi_end))
         return {
             "index": i,
@@ -471,8 +410,7 @@ def cmd_jmms(args) -> int:
     def shrink_work(i: int) -> dict:
         spec = SampleSpec(seed=args.seed, margin=args.margin, narrow=True)
         d, idx = shrink_sample(spec, 100 * (i + 1))
-        phi = bridged_phi_at_u0(d)
-        rep = shrinking_check(U_BASE, phi, reach=args.reach)
+        rep = shrinking_check(U_BASE, bridged_phi_at_u0(d), reach=args.reach)
         return {
             "index": i,
             "draw_index": idx,
@@ -484,41 +422,18 @@ def cmd_jmms(args) -> int:
 
     results = [work(i) for i in range(args.samples)]
     shrinks = [shrink_work(i) for i in range(args.shrink_samples)]
-    for r in results:
-        r["pass"] = bool(
-            r["equivalence"] < args.tol_equiv
-            and r["diag_drift"] < args.tol_diag
-            and r["spectral_drift"] < args.tol_spectrum
-        )
-    for r in shrinks:
-        r["pass"] = bool(r["band_err"] < args.tol_band)
-    failures = sum(not r["pass"] for r in results)
-    failures += sum(not r["pass"] for r in shrinks)
-    payload = {
-        "command": "jmms",
-        "seed": args.seed,
-        "samples": args.samples,
-        "failures": failures,
-        "max_equivalence": max(r["equivalence"] for r in results),
-        "max_diag_drift": max(r["diag_drift"] for r in results),
-        "max_spectral_drift": max(r["spectral_drift"] for r in results),
-        "max_band_err": max((r["band_err"] for r in shrinks), default=None),
-        "results": results,
-        "shrink_results": shrinks,
-    }
-    out = _out_dir(args)
-    if out:
-        _write_json(out / "jmms.json", payload)
-        _write_csv(
-            out / "jmms.csv",
-            ["index", "n", "equivalence", "diag_drift", "spectral_drift", "pass"],
-            [[r["index"], r["n"], r["equivalence"], r["diag_drift"],
-              r["spectral_drift"], int(r["pass"])] for r in results],
-        )
+    failures, maxima = _gate(results, {"equivalence": args.tol_equiv,
+                                       "diag_drift": args.tol_diag,
+                                       "spectral_drift": args.tol_spectrum})
+    shrink_failures, band = _gate(shrinks, {"band_err": args.tol_band})
+    failures += shrink_failures
+    _write(args, "jmms", {"samples": args.samples, "failures": failures, **maxima,
+                          **band, "results": results, "shrink_results": shrinks},
+           results)
     total = args.samples + args.shrink_samples
     print(f"jmms: {total - failures}/{total} checks passed "
-          f"(max equivalence {payload['max_equivalence']:.3e}, "
-          f"max band err {payload['max_band_err']})")
+          f"(max equivalence {maxima['max_equivalence']:.3e}, "
+          f"max band err {band['max_band_err']})")
     return 0 if failures == 0 else 1
 
 
@@ -564,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stokes", help="numerical Stokes matrices vs closed form")
     _add_common(p)
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--sheet", type=int, default=BRIDGE_SHEET)
     p.add_argument("--rtol", type=float, default=1e-12)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_stokes)
@@ -589,6 +503,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for count in ("samples", "n_ladder"):
+            if getattr(args, count, 1) < 1:
+                raise ConfigError(f"--{count.replace('_', '-')} must be at least 1")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ __all__ = [
     "eigen2",
     "eigen3",
     "minor",
-    "diag_conjugate",
     "matrix_power_scalar",
 ]
 
@@ -184,19 +183,6 @@ def _minor(m: np.ndarray, rows, cols) -> complex:
         (r0, r1), (c0, c1) = rows, cols
         return complex(m[r0, c0] * m[r1, c1] - m[r0, c1] * m[r1, c0])
     return complex(np.linalg.det(m[np.ix_(rows, cols)]))
-
-
-def diag_conjugate(a, k_diag, invert: bool = False) -> np.ndarray:
-    """K A K^{-1} (or K^{-1} A K when ``invert``) for diagonal K given by its diagonal."""
-    m = as_matrix(a)
-    k = np.asarray(k_diag, dtype=complex)
-    if k.ndim != 1 or k.shape[0] != m.shape[0]:
-        raise DomainError("diag_conjugate: diagonal length does not match matrix size")
-    if np.any(k == 0) or not np.all(np.isfinite(k.view(float))):
-        raise DomainError("diag_conjugate: diagonal entries must be finite and nonzero")
-    if invert:
-        return m * np.outer(1.0 / k, k)
-    return m * np.outer(k, 1.0 / k)
 
 
 def _is_delta2_shaped(m: np.ndarray, tol: float) -> bool:

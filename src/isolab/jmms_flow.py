@@ -397,15 +397,14 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
                         nreject=nreject)
 
 
-def phi_from_omega(omega, thetas, scale: complex, sheet: int = 0) -> np.ndarray:
+def phi_from_omega(omega, thetas, scale: complex) -> np.ndarray:
     """Bridge Omega(x) -> Phi(u) = scale^{-dPhi} Omega scale^{dPhi}.
 
-    dPhi = diag(-theta_1..3).  ``sheet`` shifts the logarithm of ``scale`` by
-    2 pi i * sheet to select a non-principal branch when the normalisation of
-    the irregular system requires it.
+    dPhi = diag(-theta_1..3), and the power takes the principal logarithm of
+    ``scale`` (another sheet would scale entries by e^{2 pi i theta} factors).
     """
     om = as_matrix(omega, 3)
-    log_s = cmath.log(complex(scale)) + 2j * cmath.pi * sheet
+    log_s = cmath.log(complex(scale))
     t = np.array([complex(th) for th in thetas[:3]], dtype=complex)
     # (scale^{-dPhi})_ii = exp(log_s * theta_i)
     e = np.exp(log_s * t)

@@ -717,6 +717,8 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
     retained through ``a_limit``, which is extrapolated without any use of
     the closed form and confirms the same truncated block.
     """
+    if n_ladder < 1:
+        raise DomainError("regularized_limits: n_ladder must be at least 1")
     bad = validate_generic(d)
     if bad:
         raise DomainError("regularized_limits: " + "; ".join(bad))

@@ -102,6 +102,8 @@ _BATCH_STEPS = 1024
 _SERIES_FACTOR = 2.0
 #: Radius of the dumbbell's arcs round the Fuchsian point.
 _RHO = 1.5
+#: Chords of the polygon that stands in for each arc.
+_N_ARC = 8
 
 
 @dataclass(frozen=True)
@@ -414,13 +416,7 @@ class StokesNumericResult:
     tail_bound: float
 
 
-def _arc(rho: float, theta0: float, theta1: float, n_arc: int) -> list[complex]:
-    return [rho * cmath.exp(1j * th)
-            for th in np.linspace(theta0, theta1, n_arc + 1)]
-
-
 def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
-                    order: int | None = None, n_arc: int = 8,
                     rtol: float = 1e-12, check_tol: float = 1e-5) -> StokesNumericResult:
     """Compute (S+, S-) numerically via dumbbell continuation.
 
@@ -430,10 +426,9 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
 
     The contour is planned from the formal series: R defaults to
     :func:`default_radius`, and the series, evaluated at 2R, is truncated at
-    ``order`` or by default at the smallest order m >= 9 whose term
-    max|H_m| (2R)^-m is at most 1e-3 rtol (the order of the smallest term if
-    the terms grow first, at most 24).  Each arc of radius 1.5 is a polygon
-    of ``n_arc`` chords.
+    the smallest order m >= 9 whose term max|H_m| (2R)^-m is at most 1e-3
+    rtol (the order of the smallest term if the terms grow first, at most
+    24).  Each arc of radius 1.5 is a polygon of 8 chords.
 
     Raises :class:`AccuracyError` when the triangular structure or the
     diagonal law e^{-i pi phi_kk} fails beyond ``check_tol`` (relative).
@@ -442,7 +437,7 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     if not _RHO < r / 4:
         raise DomainError(f"inner radius {_RHO} too large for extraction radius {r}")
     r2 = _SERIES_FACTOR * r
-    hs = _planned_series(system, order, r2, rtol)
+    hs = _planned_series(system, None, r2, rtol)
     order = len(hs)
     tail = float(np.max(np.abs(hs[-1]))) * r2 ** (-order)
 
@@ -452,7 +447,8 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     # continued down its ray to |z| = R; then F+ continued clockwise through
     # the lower half-plane, arg 0 -> -pi, and F- clockwise on its sheet along
     # the mirrored dumbbell, arg -pi -> -2 pi (upper half-plane)
-    lower = [r] + _arc(_RHO, 0.0, -math.pi, n_arc) + [-r]
+    arc = np.linspace(0.0, -math.pi, _N_ARC + 1)
+    lower = [r] + [_RHO * cmath.exp(1j * th) for th in arc] + [-r]
     (f_plus_r, f_minus_mr), (fp_cont, fm_cont) = _taylor_path(
         system, [_series_frame(system, r2, ln_r2, hs),
                  _series_frame(system, -r2, ln_r2 - 1j * math.pi, hs)],

@@ -9,6 +9,7 @@ exercised by the acceptance suite.
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import json
 import os
@@ -24,7 +25,8 @@ import pytest
 from isolab import arrows, cli_harness, jmms_flow, pvi_trajectory, stokes_numeric
 from isolab.arrows import arrow_q, genericity_margin
 from isolab.cli_harness import (
-    BRIDGE_SHEET,
+    J_MODULUS,
+    RE_SIGMA,
     U_BASE,
     SampleSpec,
     bridged_phi_at_u0,
@@ -37,7 +39,7 @@ from isolab.cli_harness import (
     shrink_sample,
     stokes_checks,
 )
-from isolab.errors import ConfigError, SingularityError
+from isolab.errors import ConfigError, DomainError, SingularityError
 from isolab.ode_engine import integrate
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -45,6 +47,21 @@ WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py
 
 def read_json(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def assert_csv_mirrors_rows(path: Path, rows: list[dict], columns: list[str]) -> None:
+    """The CSV has exactly ``columns``, in order, and the JSON rows' values, bools as 0/1."""
+    header, *lines = read_csv(path)
+    assert header == columns
+    assert sorted(header) == sorted(rows[0])
+    assert [dict(zip(header, line)) for line in lines] == [
+        {k: str(int(v) if isinstance(v, bool) else v) for k, v in r.items()}
+        for r in rows]
 
 
 class TestSampleParameters:
@@ -55,8 +72,8 @@ class TestSampleParameters:
         for index in range(20):
             d = sample_parameters(spec, index)
             assert genericity_margin(d) >= spec.margin
-            assert spec.re_sigma[0] <= d.sigma.real <= spec.re_sigma[1]
-            assert spec.j_modulus[0] <= abs(d.J) <= spec.j_modulus[1]
+            assert RE_SIGMA[0] <= d.sigma.real <= RE_SIGMA[1]
+            assert J_MODULUS[0] <= abs(d.J) <= J_MODULUS[1]
 
     def test_index_addressable_and_order_independent(self):
         # Each index seeds its own generator, so sample 7 does not depend
@@ -116,7 +133,6 @@ class TestBridgeConstants:
 
     def test_base_point_is_the_imaginary_axis_triple(self):
         assert np.array_equal(U_BASE, np.array([0.0, 1.0j, 3.0j]))
-        assert BRIDGE_SHEET == 0
 
     def test_bridge_preserves_the_flow_invariants(self):
         # The bridge transports the residue along the isomonodromic flow to
@@ -246,9 +262,9 @@ class TestRoundtripCommand:
         assert set(row) == {"index", "roundtrip_err", "cubic", "p12_err",
                             "identity", "trace_closed_form_err", "pass"}
 
-        csv_lines = (out1 / "roundtrip.csv").read_text().splitlines()
-        assert csv_lines[0].startswith("index,roundtrip_err,cubic")
-        assert len(csv_lines) == 5
+        assert_csv_mirrors_rows(out1 / "roundtrip.csv", payload["results"], [
+            "index", "roundtrip_err", "cubic", "p12_err", "identity",
+            "trace_closed_form_err", "pass"])
 
         # Same arguments produce byte-identical reports.
         main(["roundtrip", "--samples", "4", "--out", str(out2)])
@@ -277,6 +293,14 @@ class TestLimitsCommand:
         assert abs(payload["y_correction_exponent"] - 0.5) < 0.1
         assert payload["ladder"][0] == pytest.approx(1e-6)
         assert "degraded" in payload
+        # one row per ladder point; the unextrapolated value converges like
+        # x^(1/2), and each is farther from Phi0 than the extrapolated limit
+        header, *rows = read_csv(tmp_path / "limits.csv")
+        assert header == ["x", "entrywise_err_vs_closed_form"]
+        assert [float(x) for x, _ in rows] == payload["ladder"]
+        errs = [float(e) for _, e in rows]
+        assert errs == sorted(errs)
+        assert payload["entrywise_err"] < errs[0] < 1e-3
 
     def test_movable_pole_produces_partial_report(self, tmp_path, monkeypatch,
                                                   capsys):
@@ -305,7 +329,6 @@ class TestStokesCommand:
         assert rc == 0
         assert "1/1 samples passed" in capsys.readouterr().out
         payload = read_json(tmp_path / "stokes.json")
-        assert payload["sheet"] == 0
         assert payload["failures"] == 0
         assert payload["max_entrywise_err"] < 1e-6
         row = payload["results"][0]
@@ -320,11 +343,13 @@ class TestStokesCommand:
             assert main(["stokes", "--samples", "1", "--out", str(out)]) == 0
         for name in ("stokes.json", "stokes.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        row = read_json(out1 / "stokes.json")["results"][0]
+        rows = read_json(out1 / "stokes.json")["results"]
         # narrow draw 0 at seed 2026: radius 20, series planned to order 21
-        assert (row["radius"], row["series_order"]) == (20.0, 21)
-        header = (out1 / "stokes.csv").read_text().splitlines()[0].split(",")
-        assert header[5:8] == ["radius", "series_order", "taylor_steps"]
+        assert (rows[0]["radius"], rows[0]["series_order"]) == (20.0, 21)
+        assert_csv_mirrors_rows(out1 / "stokes.csv", rows, [
+            "index", "entrywise_err", "triangularity_residual", "diag_residual",
+            "monodromy_mismatch", "radius", "series_order", "taylor_steps",
+            "taylor_terms", "tail_bound", "pass"])
 
 
 class TestJmmsCommand:
@@ -342,12 +367,43 @@ class TestJmmsCommand:
         assert payload["max_spectral_drift"] < 1e-8
         assert payload["max_band_err"] < 0.05
         assert len(payload["shrink_results"]) == 1
+        assert_csv_mirrors_rows(tmp_path / "jmms.csv", payload["results"], [
+            "index", "n", "equivalence", "diag_drift", "spectral_drift", "pass"])
+
+    def test_colliding_walk_is_retried_with_shorter_steps(self, tmp_path,
+                                                           monkeypatch):
+        walks = []
+
+        def collide_once(pts, phi, **kwargs):
+            walks.append(pts)
+            if len(walks) == 1:
+                raise DomainError("u-coordinates collide")
+            return jmms_flow.flow_path(pts, phi, **kwargs)
+
+        monkeypatch.setattr(cli_harness, "flow_path", collide_once)
+        rc = main(["jmms", "--samples", "1", "--states", "1", "--shrink-samples", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert read_json(tmp_path / "jmms.json")["failures"] == 0
+        first, retry = walks
+        # the retry starts at the same point, and its 30 complex normal steps
+        # are scaled by 0.15 instead of 0.3
+        assert retry[0] is first[0]
+        rms = [np.sqrt(np.mean(np.abs(np.diff(w, axis=0)) ** 2)) for w in walks]
+        assert 0.35 < rms[1] / rms[0] < 0.7
 
 
 class TestExitCodes:
-    def test_configuration_errors_exit_2(self, tmp_path, capsys):
-        rc = main(["roundtrip", "--samples", "1", "--margin", "0",
-                   "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv", [
+        ["roundtrip", "--samples", "1", "--margin", "0"],
+        ["roundtrip", "--samples", "0"],
+        ["stokes", "--samples", "0"],
+        ["jmms", "--samples", "0", "--shrink-samples", "0"],
+        ["limits", "--sigma-re", "0.5", "--n-ladder", "0"],
+    ], ids=["margin_0", "roundtrip_samples_0", "stokes_samples_0", "jmms_samples_0",
+            "limits_n_ladder_0"])
+    def test_configuration_errors_exit_2(self, argv, tmp_path, capsys):
+        rc = main(argv + ["--out", str(tmp_path)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 

@@ -17,7 +17,6 @@ import pytest
 from isolab.core_linalg import (
     as_matrix,
     delta_k,
-    diag_conjugate,
     eigen2,
     eigen3,
     matrix_power_scalar,
@@ -191,15 +190,6 @@ class TestShapeHelpers:
             minor(m, (1, 0), (0, 1))
         with pytest.raises(DomainError):
             minor(m, (0, 5), (0, 1))
-
-    def test_diag_conjugate_roundtrip(self):
-        rng = np.random.default_rng(32)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        k = np.array([2.0, -1.5j, 0.25 + 1j])
-        back = diag_conjugate(diag_conjugate(m, k), k, invert=True)
-        np.testing.assert_allclose(back, m, rtol=1e-14)
-        with pytest.raises(DomainError):
-            diag_conjugate(m, np.array([1.0, 0.0, 2.0]))
 
 
 def sylvester_power_2x2(block: np.ndarray, log_s: complex) -> np.ndarray:

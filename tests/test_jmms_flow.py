@@ -358,14 +358,3 @@ class TestBridge:
         t = np.array(thetas[:3], dtype=complex)
         e = np.exp(cmath.log(scale) * t)
         assert_allclose(got, (e[:, None] * om) / e[None, :], rtol=1e-13)
-
-    def test_sheet_multiplies_entries_by_theta_phases(self):
-        rng = np.random.default_rng(97)
-        om = random_state(rng)
-        thetas = (0.21 + 0.1j, -0.33, 0.41 - 0.05j, 0.52)
-        base = phi_from_omega(om, thetas, 3.0j, sheet=0)
-        shifted = phi_from_omega(om, thetas, 3.0j, sheet=1)
-        t = np.array(thetas[:3], dtype=complex)
-        factors = np.exp(2j * np.pi * (t[:, None] - t[None, :]))
-        assert_allclose(shifted, base * factors, rtol=1e-12)
-        assert_allclose(np.diag(shifted), np.diag(base), rtol=1e-14)

@@ -298,6 +298,10 @@ class TestRegularizedLimits:
         with pytest.raises(DomainError, match="ladder"):
             regularized_limits(D_REAL, x_small=0.05, n_ladder=3)
 
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(DomainError, match="n_ladder"):
+            regularized_limits(D_REAL, n_ladder=0)
+
     def test_rejects_nongeneric(self):
         d = PviAsymptoticData(1.0, -0.33, 0.41, 0.52, 0.5, 1.1)
         with pytest.raises(DomainError):
