@@ -59,6 +59,8 @@ __all__ = [
 
 #: Hard-error distance for Gamma poles / integer genericity checks.
 GENERICITY_TOL = 1e-9
+#: Relative tolerance of arrow_p's triangularity and diagonal-law checks.
+_SHAPE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,7 @@ def _invariant_functionals(m: np.ndarray) -> np.ndarray:
     )
 
 
-def arrow_q_inverse(b: BoundaryValue | np.ndarray, tol: float = 1e-8) -> PviAsymptoticData:
+def arrow_q_inverse(b: BoundaryValue | np.ndarray) -> PviAsymptoticData:
     """Asymptotic data from a boundary-value matrix.
 
     theta_i = -phi_ii; sigma is the ordered eigenvalue difference of the
@@ -288,8 +290,8 @@ def arrow_q_inverse(b: BoundaryValue | np.ndarray, tol: float = 1e-8) -> PviAsym
     same diagonal-gauge orbit -- so the principal-root representative with
     Re theta_inf >= 0 is returned.  Candidates are still validated by
     rebuilding the matrix and matching its gauge invariants against the
-    input; a corrupt matrix that matches neither sign raises
-    ``DisambiguationError``.
+    input, to 1e-8 of their scale; a corrupt matrix that matches neither
+    sign raises ``DisambiguationError``.
 
     The output is independent of the diagonal gauge of the input.
     """
@@ -329,7 +331,7 @@ def arrow_q_inverse(b: BoundaryValue | np.ndarray, tol: float = 1e-8) -> PviAsym
         except DomainError:
             continue
         err = float(np.max(np.abs(_invariant_functionals(rebuilt) - target)))
-        if err < tol * scale:
+        if err < 1e-8 * scale:
             matches.append((ti, J))
     if not matches:
         raise DisambiguationError(
@@ -560,21 +562,17 @@ def arrow_g_direct(d: PviAsymptoticData, k1: complex = 1.0, k2: complex = 1.0) -
 # arrow_p: Stokes -> trace coordinates
 
 
-def _check_stokes_shape(sp: np.ndarray, sm: np.ndarray, tol: float) -> None:
+def _check_stokes_shape(sp: np.ndarray, sm: np.ndarray) -> None:
     scale = max(1.0, float(np.max(np.abs(sp))), float(np.max(np.abs(sm))))
     lower = max(abs(sp[1, 0]), abs(sp[2, 0]), abs(sp[2, 1]))
     upper = max(abs(sm[0, 1]), abs(sm[0, 2]), abs(sm[1, 2]))
-    if max(lower, upper) > tol * scale:
+    if max(lower, upper) > _SHAPE_TOL * scale:
         raise DomainError(
             f"arrow_p: Stokes pair is not triangular (residual {max(lower, upper):.3e})"
         )
 
 
-def arrow_p(
-    s: StokesPair,
-    thetas: tuple[complex, complex, complex, complex],
-    shape_tol: float = 1e-6,
-) -> MonodromyData:
+def arrow_p(s: StokesPair, thetas: tuple[complex, complex, complex, complex]) -> MonodromyData:
     """Trace coordinates from a Stokes pair.
 
     p_ij = 2 cos(pi (theta_i - theta_j)) - (S+)_ij (S-^{-1})_ji for i < j,
@@ -583,12 +581,12 @@ def arrow_p(
     """
     sp = as_matrix(s.s_plus, 3)
     sm = as_matrix(s.s_minus, 3)
-    _check_stokes_shape(sp, sm, shape_tol)
+    _check_stokes_shape(sp, sm)
     t1, t2, t3, ti = (complex(t) for t in thetas)
     for k, t in enumerate((t1, t2, t3)):
         want = cmath.exp(1j * pi * t)
         for name, mat in (("S+", sp), ("S-", sm)):
-            if abs(mat[k, k] - want) > shape_tol * max(1.0, abs(want)):
+            if abs(mat[k, k] - want) > _SHAPE_TOL * max(1.0, abs(want)):
                 raise DomainError(
                     f"arrow_p: diagonal law violated at {name}[{k},{k}] = {mat[k, k]}, "
                     f"expected exp(i pi theta_{k + 1}) = {want}"
@@ -753,7 +751,11 @@ def _closed_form_traces(d: PviAsymptoticData) -> tuple[complex, complex, complex
 
 def trace_identity_residual(d: PviAsymptoticData) -> complex:
     """Residual of the identity a + b = d / (L J) tying traces to the leading coefficient."""
-    p23, p13, el = _closed_form_traces(d)
+    return _trace_identity(d, *_closed_form_traces(d))
+
+
+def _trace_identity(d: PviAsymptoticData, p23: complex, p13: complex, el: complex) -> complex:
+    """:func:`trace_identity_residual` from the closed-form (p23, p13, L) of ``d``."""
     a, b = _ab_terms(d.thetas, d.sigma, p23, p13)
     dd = _d_factor(d.thetas, d.sigma)
     return a + b - dd / (el * d.J)

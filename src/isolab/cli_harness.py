@@ -2,7 +2,9 @@
 
 Each check is defined here once, as a function of an operation's inputs and
 outputs that returns ``(name, error)`` pairs; the subcommands, the acceptance
-tests and the tools call it and hold the tolerances.  Subcommands:
+tests and the tools call it.  Every subcommand gates at ``TOLERANCES``, the
+acceptance tolerance of each check name, and runs the oracles at their
+library defaults; neither is settable.  Subcommands:
 
 * ``roundtrip`` -- push sampled asymptotic data around the closed-form cycle
   (boundary value -> Stokes pair -> traces -> back to (sigma, J)) and gate
@@ -11,20 +13,20 @@ tests and the tools call it and hold the tolerances.  Subcommands:
   gate its limit against the closed form, and its correction exponent
   unless the ladder is degraded.
 * ``stokes``   -- bridge a trajectory to the three-point u-configuration and
-  gate the numerical Stokes matrices entrywise against the closed form.
+  gate the numerical Stokes matrices entrywise against the closed form, and
+  their triangularity and diagonal law.
 * ``jmms``     -- gate the two forms of the deformation equations against
   each other, the drifts along random flow paths and the band of rays.
 
-``roundtrip``, ``stokes`` and ``jmms`` gate their rows through ``_gate`` (one
-tolerance per row key, a ``max_<key>`` per gated key), and every subcommand
-writes ``<command>.json`` and ``<command>.csv`` through ``_write``.  Reports are byte-stable across
-reruns: keys are sorted, floats are emitted natively, and no timestamps or
-host data are recorded.  Sampling is deterministic per (seed, index), so a
-draw does not depend on how many others are drawn.
+``roundtrip``, ``stokes`` and ``jmms`` gate their rows through ``_gate`` (a
+check per row key, a ``max_<key>`` per gated key), and every subcommand
+writes ``<command>.json`` and ``<command>.csv`` through ``_write``.  Reports
+are byte-stable across reruns: keys are sorted, floats are emitted natively,
+and no timestamps or host data are recorded.  Sampling is deterministic per
+(seed, index), so a draw does not depend on how many others are drawn.
 
 Exit codes: 0 all checks passed; 1 a computation failed or a tolerance was
-exceeded; 2 usage or configuration error (``--samples`` or ``--n-ladder``
-below 1 among them).
+exceeded; 2 usage or configuration error (``--samples`` below 1 among them).
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .arrows import (
     arrow_p,
     arrow_q,
     cubic_residual,
+    _closed_form_traces,
+    _trace_identity,
     genericity_margin,
-    p23_p13_closed_form,
-    trace_identity_residual,
 )
 from .errors import ConfigError, DomainError, IsolabError, SingularityError
 from .jmms_flow import (
@@ -77,6 +79,7 @@ from .stokes_numeric import (IrregularSystem, StokesNumericResult, monodromy_mis
 __all__ = [
     "SampleSpec",
     "sample_parameters",
+    "TOLERANCES",
     "U_BASE",
     "bridged_phi_at_u0",
     "closed_form_checks",
@@ -97,6 +100,21 @@ IM_THETA = (-0.3, 0.3)
 RE_SIGMA = (0.08, 0.92)
 IM_SIGMA = (-0.25, 0.25)
 J_MODULUS = (0.4, 1.8)
+
+#: The tolerance of each check, by the name its check function gives it: the
+#: ``TOL_*`` constants of the acceptance test, which pins this table.
+TOLERANCES = {
+    "roundtrip": 1e-8, "trace_identity": 1e-9, "cubic": 1e-8, "p12": 1e-10,
+    "stokes_entry": 1e-6, "stokes_triangularity": 1e-6, "stokes_diagonal": 1e-8,
+    "ladder_entry": 1e-4, "ladder_exponent": 0.1,
+    "flow_diag": 1e-10, "flow_spectrum": 1e-8, "rhs_equivalence": 1e-13,
+    "shrink_band": 1e-3,
+}
+
+#: ``isolab jmms``: states per right-hand-side comparison, steps per walk, ray reach.
+JMMS_STATES = 250
+JMMS_PATH_LENGTH = 10
+JMMS_REACH = 1e10
 
 
 @dataclass(frozen=True)
@@ -145,14 +163,16 @@ def sample_parameters(spec: SampleSpec, index: int) -> PviAsymptoticData:
 
 def closed_form_checks(d: PviAsymptoticData, traces: MonodromyData,
                        sigma_j: tuple[complex, complex]) -> list[tuple[str, float]]:
-    """F.P.G.Q on ``d``: ``traces`` is P.G.Q(d) and ``sigma_j`` is F of them."""
+    """F.P.G.Q on ``d``: ``traces`` = P.G.Q(d), ``sigma_j`` = F(traces); last pair ungated."""
     sigma_out, j_out = sigma_j
+    p23, p13, el = _closed_form_traces(d)
     return [
         ("roundtrip", max(abs(sigma_out - d.sigma) / abs(d.sigma),
                           abs(j_out - d.J) / abs(d.J))),
-        ("trace_identity", abs(trace_identity_residual(d))),
+        ("trace_identity", abs(_trace_identity(d, p23, p13, el))),
         ("cubic", abs(cubic_residual(traces))),
         ("p12", abs(traces.p12 - 2.0 * cmath.cos(math.pi * d.sigma))),
+        ("trace_closed_form", max(abs(traces.p23 - p23), abs(traces.p13 - p13))),
     ]
 
 
@@ -194,10 +214,10 @@ def rhs_checks(u: np.ndarray, phi: np.ndarray, k: int) -> list[tuple[str, float]
 # report plumbing
 
 
-def _gate(rows: list[dict], gates: dict[str, float]) -> tuple[int, dict]:
-    """Pass the rows whose gated keys are below tolerance; count failures, take maxima."""
+def _gate(rows: list[dict], gates: dict[str, str]) -> tuple[int, dict]:
+    """Pass rows whose keys are below ``TOLERANCES[check]``; count failures, take maxima."""
     for r in rows:
-        r["pass"] = all(r[key] < tol for key, tol in gates.items())
+        r["pass"] = all(r[key] < TOLERANCES[check] for key, check in gates.items())
     return (sum(not r["pass"] for r in rows),
             {f"max_{key}": max((r[key] for r in rows), default=None)
              for key in gates})
@@ -235,23 +255,23 @@ def cmd_roundtrip(args) -> int:
         d = sample_parameters(spec, i)
         m = arrow_p(arrow_g(arrow_q(d)), d.thetas)
         err = dict(closed_form_checks(d, m, arrow_f(m, d.thetas)))
-        p23c, p13c = p23_p13_closed_form(d)
         return {
             "index": i,
             "roundtrip_err": err["roundtrip"],
             "cubic": err["cubic"],
             "p12_err": err["p12"],
             "identity": err["trace_identity"],
-            "trace_closed_form_err": max(abs(m.p23 - p23c), abs(m.p13 - p13c)),
+            "trace_closed_form_err": err["trace_closed_form"],
         }
 
     results = [work(i) for i in range(args.samples)]
-    gates = {"roundtrip_err": args.tol_roundtrip, "cubic": args.tol_cubic,
-             "p12_err": args.tol_p12, "identity": args.tol_identity}
+    gates = {"roundtrip_err": "roundtrip", "cubic": "cubic", "p12_err": "p12",
+             "identity": "trace_identity"}
     failures, maxima = _gate(results, gates)
     _write(args, "roundtrip", {
         "samples": args.samples,
-        "tolerances": {key.removesuffix("_err"): tol for key, tol in gates.items()},
+        "tolerances": {key.removesuffix("_err"): TOLERANCES[check]
+                       for key, check in gates.items()},
         "failures": failures, **maxima, "results": results,
     }, results)
     print(f"roundtrip: {args.samples - failures}/{args.samples} samples passed "
@@ -268,8 +288,7 @@ def cmd_limits(args) -> int:
         raise ConfigError("requested sigma leaves the generic domain for this seed")
     sigma = [d.sigma.real, d.sigma.imag]
     try:
-        rep = regularized_limits(d, x_small=args.x_small, n_ladder=args.n_ladder,
-                                 rtol=args.rtol)
+        rep = regularized_limits(d)
     except SingularityError as exc:
         # a movable pole interrupted the ladder: report what is known
         _write(args, "limits", {
@@ -285,7 +304,8 @@ def cmd_limits(args) -> int:
         return 1
     check = dict(ladder_checks(d, rep))
     err = check["ladder_entry"]
-    ok = err < args.tol and (rep.degraded or check["ladder_exponent"] < 0.1)
+    ok = err < TOLERANCES["ladder_entry"] and (
+        rep.degraded or check["ladder_exponent"] < TOLERANCES["ladder_exponent"])
     expected_p = min(d.sigma.real, 1.0 - d.sigma.real)
     ref = arrow_q(d).phi0
     _write(args, "limits", {
@@ -326,7 +346,7 @@ def cmd_stokes(args) -> int:
         d = sample_parameters(spec, i)
         closed = arrow_g(arrow_q(d))
         system = IrregularSystem(U_BASE, bridged_phi_at_u0(d))
-        num = stokes_matrices(system, rtol=args.rtol)
+        num = stokes_matrices(system)
         err = dict(stokes_checks(closed, num))
         return {
             "index": i,
@@ -343,10 +363,15 @@ def cmd_stokes(args) -> int:
         }
 
     results = [work(i) for i in range(args.samples)]
-    failures, maxima = _gate(results, {"entrywise_err": args.tol})
-    _write(args, "stokes", {"samples": args.samples, "tolerance": args.tol,
-                            "failures": failures, **maxima, "results": results},
-           results)
+    gates = {"entrywise_err": "stokes_entry",
+             "triangularity_residual": "stokes_triangularity",
+             "diag_residual": "stokes_diagonal"}
+    failures, maxima = _gate(results, gates)
+    _write(args, "stokes", {
+        "samples": args.samples,
+        "tolerances": {key: TOLERANCES[check] for key, check in gates.items()},
+        "failures": failures, **maxima, "results": results,
+    }, results)
     print(f"stokes: {args.samples - failures}/{args.samples} samples passed "
           f"(max entrywise err {maxima['max_entrywise_err']:.3e})")
     return 0 if failures == 0 else 1
@@ -381,7 +406,7 @@ def cmd_jmms(args) -> int:
         rng = np.random.default_rng([args.seed, i])
         n = 3 if i % 2 == 0 else 4
         equiv = 0.0
-        for _ in range(args.states):
+        for _ in range(JMMS_STATES):
             u, phi = _random_flow_state(rng, n)
             k = int(rng.integers(0, n))
             equiv = max(equiv, dict(rhs_checks(u, phi, k))["rhs_equivalence"])
@@ -389,15 +414,15 @@ def cmd_jmms(args) -> int:
 
         def walk(scale: float) -> list:
             pts = [u]
-            for _ in range(args.path_length):
+            for _ in range(JMMS_PATH_LENGTH):
                 pts.append(pts[-1] + scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
             return pts
 
         # a walk whose u-coordinates collide is retried with shorter steps
         try:
-            phi_end = flow_path(walk(0.3), phi, rtol=args.rtol)
+            phi_end = flow_path(walk(0.3), phi)
         except DomainError:
-            phi_end = flow_path(walk(0.15), phi, rtol=args.rtol)
+            phi_end = flow_path(walk(0.15), phi)
         err = dict(flow_checks(phi, phi_end))
         return {
             "index": i,
@@ -410,22 +435,22 @@ def cmd_jmms(args) -> int:
     def shrink_work(i: int) -> dict:
         spec = SampleSpec(seed=args.seed, margin=args.margin, narrow=True)
         d, idx = shrink_sample(spec, 100 * (i + 1))
-        rep = shrinking_check(U_BASE, bridged_phi_at_u0(d), reach=args.reach)
+        rep = shrinking_check(U_BASE, bridged_phi_at_u0(d), reach=JMMS_REACH)
         return {
             "index": i,
             "draw_index": idx,
             "sigma": [d.sigma.real, d.sigma.imag],
-            "reach": args.reach,
+            "reach": JMMS_REACH,
             "bands": rep.bands,
             "band_err": dict(shrink_checks(d, rep))["shrink_band"],
         }
 
     results = [work(i) for i in range(args.samples)]
     shrinks = [shrink_work(i) for i in range(args.shrink_samples)]
-    failures, maxima = _gate(results, {"equivalence": args.tol_equiv,
-                                       "diag_drift": args.tol_diag,
-                                       "spectral_drift": args.tol_spectrum})
-    shrink_failures, band = _gate(shrinks, {"band_err": args.tol_band})
+    failures, maxima = _gate(results, {"equivalence": "rhs_equivalence",
+                                       "diag_drift": "flow_diag",
+                                       "spectral_drift": "flow_spectrum"})
+    shrink_failures, band = _gate(shrinks, {"band_err": "shrink_band"})
     failures += shrink_failures
     _write(args, "jmms", {"samples": args.samples, "failures": failures, **maxima,
                           **band, "results": results, "shrink_results": shrinks},
@@ -460,41 +485,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="closed-form cycle on random samples")
     _add_common(p)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol-roundtrip", type=float, default=1e-8)
-    p.add_argument("--tol-cubic", type=float, default=1e-8)
-    p.add_argument("--tol-p12", type=float, default=1e-10)
-    p.add_argument("--tol-identity", type=float, default=1e-9)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("limits", help="trajectory oracle vs closed form")
     _add_common(p)
     p.add_argument("--sigma-re", type=float, required=True)
     p.add_argument("--sigma-im", type=float, default=0.05)
-    p.add_argument("--x-small", type=float, default=1e-6)
-    p.add_argument("--n-ladder", type=int, default=14)
-    p.add_argument("--rtol", type=float, default=1e-11)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("stokes", help="numerical Stokes matrices vs closed form")
     _add_common(p)
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--rtol", type=float, default=1e-12)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_stokes)
 
     p = sub.add_parser("jmms", help="deformation-equation consistency and drifts")
     _add_common(p)
     p.add_argument("--samples", type=int, default=4)
-    p.add_argument("--states", type=int, default=250)
-    p.add_argument("--path-length", type=int, default=10)
-    p.add_argument("--rtol", type=float, default=1e-12)
-    p.add_argument("--tol-equiv", type=float, default=1e-12)
-    p.add_argument("--tol-diag", type=float, default=1e-10)
-    p.add_argument("--tol-spectrum", type=float, default=1e-8)
     p.add_argument("--shrink-samples", type=int, default=3)
-    p.add_argument("--reach", type=float, default=1e10)
-    p.add_argument("--tol-band", type=float, default=1e-3)
     p.set_defaults(func=cmd_jmms)
 
     return parser
@@ -503,9 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for count in ("samples", "n_ladder"):
-            if getattr(args, count, 1) < 1:
-                raise ConfigError(f"--{count.replace('_', '-')} must be at least 1")
+        if getattr(args, "samples", 1) < 1:
+            raise ConfigError("--samples must be at least 1")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -211,22 +211,15 @@ def flow(u_start, u_end, phi_start, *, rtol: float = 1e-12) -> np.ndarray:
     return sol.y_end.reshape(m0.shape)
 
 
-def flow_path(points, phi_start, *, rtol: float = 1e-12, record: bool = False):
-    """Transport Phi along the polygonal u-space path through ``points``.
-
-    Returns the final Phi, or the list of Phi at every path point when
-    ``record`` is set (starting with the initial matrix).
-    """
+def flow_path(points, phi_start, *, rtol: float = 1e-12) -> np.ndarray:
+    """Transport Phi along the polygonal u-space path through ``points``; return the final Phi."""
     pts = [np.asarray(p, dtype=complex) for p in points]
     if len(pts) < 2:
         raise DomainError("a flow path needs at least two u-configurations")
     phi = as_matrix(phi_start, pts[0].shape[0]).copy()
-    recorded = [phi.copy()] if record else None
     for a, b in zip(pts[:-1], pts[1:]):
         phi = flow(a, b, phi, rtol=rtol)
-        if recorded is not None:
-            recorded.append(phi.copy())
-    return recorded if record else phi
+    return phi
 
 
 # --------------------------------------------------------------------------

@@ -138,6 +138,23 @@ def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray, direction: float
     return min(100 * h0, h1, span), 1
 
 
+def _step(f, t: float, y: np.ndarray, hd: float, k: np.ndarray) -> np.ndarray:
+    """Stages k[1..12] of the DOP853 step of size ``hd`` from (t, y), k[0] = f(t, y).
+
+    Returns the eighth-order solution.  A division by zero in f raises
+    :class:`SingularityError` located at t, the start of the step.
+    """
+    try:
+        for i in range(1, 13):
+            y_new = y + hd * (_A[i - 1] @ k[:i])
+            k[i] = f(t + _C[i - 1] * hd, y_new)
+    except ZeroDivisionError as exc:
+        raise SingularityError(
+            f"right-hand side divided by zero in the step from t={t} ({exc})",
+            location=t) from exc
+    return y_new
+
+
 def integrate(
     f,
     t0: float,
@@ -147,13 +164,8 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_steps: int = 500_000,
-    fixed_step: float | None = None,
 ) -> OdeSolution:
-    """Integrate y' = f(t, y) from t0 to t1 (t real, y complex vector).
-
-    ``fixed_step`` disables adaptivity (used for convergence-order checks);
-    otherwise the step is PI-controlled against ``rtol``/``atol``.
-    """
+    """Integrate y' = f(t, y) from t0 to t1 (t real, y complex vector), steps PI-controlled."""
     y = np.asarray(y0, dtype=complex).copy()
     if y.ndim != 1:
         raise DomainError("state must be a one-dimensional complex vector")
@@ -164,64 +176,52 @@ def integrate(
     backstop = _HMIN_BACKSTOP * span
 
     k = np.empty((13, y.shape[0]), dtype=complex)  # the stages of one step
-    t = t0
-    if fixed_step is not None and fixed_step <= 0:
-        raise DomainError("fixed_step must be positive")
     try:
         k[0] = f(t0, y)
-        nfev = 1
-        if fixed_step is not None:
-            h = float(fixed_step)
-        else:
-            h, extra = _initial_step(f, t0, y, k[0], direction, span, rtol, atol)
-            nfev += extra
-
-        naccept = nreject = 0
-        errold = 1e-4
-        facmax = _FACMAX
-
-        while (t1 - t) * direction > 0:
-            if naccept + nreject >= max_steps:
-                raise BudgetError(
-                    f"step budget {max_steps} exhausted at t={t} "
-                    f"({naccept} accepted, {nreject} rejected)"
-                )
-            if h < max(_HMIN_FRACTION * abs(t), backstop):
-                raise SingularityError(
-                    f"step size collapsed to {h:.3e} (span {span:.3e})", location=t
-                )
-            last = h >= abs(t1 - t)
-            if last:
-                h = abs(t1 - t)
-            hd = h * direction
-
-            for i in range(1, 13):
-                y_new = y + hd * (_A[i - 1] @ k[:i])
-                k[i] = f(t + _C[i - 1] * hd, y_new)
-            nfev += 12
-            err = _error_norm(_E @ k, hd, y, y_new, rtol, atol)
-
-            if fixed_step is not None or err <= 1.0:
-                t = t1 if last else t + hd
-                y = y_new
-                k[0] = k[12]  # FSAL
-                naccept += 1
-                if fixed_step is None:
-                    err = max(err, 1e-30)
-                    fac = _SAFETY * err ** (-_EXPO_ERR) * errold ** (_EXPO_OLD)
-                    h *= min(facmax, max(_FACMIN, fac))
-                    errold = max(err, 1e-4)
-                    facmax = _FACMAX
-            else:
-                nreject += 1
-                fac = _SAFETY * err ** (-_EXPO_ERR)
-                h *= min(1.0, max(_FACMIN, fac))
-                facmax = 1.0
+        h, extra = _initial_step(f, t0, y, k[0], direction, span, rtol, atol)
     except ZeroDivisionError as exc:
-        # t is the start of the step whose stage divided by zero (t0 for the
-        # first evaluations)
         raise SingularityError(
-            f"right-hand side divided by zero in the step from t={t} ({exc})",
-            location=t) from exc
+            f"right-hand side divided by zero in the step from t={t0} ({exc})",
+            location=t0) from exc
+    nfev = 1 + extra
+    naccept = nreject = 0
+    errold = 1e-4
+    facmax = _FACMAX
+
+    t = t0
+    while (t1 - t) * direction > 0:
+        if naccept + nreject >= max_steps:
+            raise BudgetError(
+                f"step budget {max_steps} exhausted at t={t} "
+                f"({naccept} accepted, {nreject} rejected)"
+            )
+        if h < max(_HMIN_FRACTION * abs(t), backstop):
+            raise SingularityError(
+                f"step size collapsed to {h:.3e} (span {span:.3e})", location=t
+            )
+        last = h >= abs(t1 - t)
+        if last:
+            h = abs(t1 - t)
+        hd = h * direction
+
+        y_new = _step(f, t, y, hd, k)
+        nfev += 12
+        err = _error_norm(_E @ k, hd, y, y_new, rtol, atol)
+
+        if err <= 1.0:
+            t = t1 if last else t + hd
+            y = y_new
+            k[0] = k[12]  # FSAL
+            naccept += 1
+            err = max(err, 1e-30)
+            fac = _SAFETY * err ** (-_EXPO_ERR) * errold ** (_EXPO_OLD)
+            h *= min(facmax, max(_FACMIN, fac))
+            errold = max(err, 1e-4)
+            facmax = _FACMAX
+        else:
+            nreject += 1
+            fac = _SAFETY * err ** (-_EXPO_ERR)
+            h *= min(1.0, max(_FACMIN, fac))
+            facmax = 1.0
 
     return OdeSolution(t0, t1, y, nfev, naccept, nreject)

@@ -197,17 +197,13 @@ def formal_series_coefficients(system: IrregularSystem, order: int) -> list[np.n
     return hs
 
 
-def _planned_series(system: IrregularSystem, order: int | None, z_abs: float,
-                    rtol: float) -> list[np.ndarray]:
+def _planned_series(system: IrregularSystem, z_abs: float, rtol: float) -> list[np.ndarray]:
     """Coefficients H_1..H_m of the series evaluated at |z| = ``z_abs``.
 
-    An explicit ``order`` is m.  Otherwise m is the smallest order from
-    _MIN_ORDER on whose term max|H_m| z_abs^-m is at most _SERIES_TAIL *
-    rtol; if the terms grow before that, the order of the smallest term; at
-    most _MAX_ORDER.
+    m is the smallest order from _MIN_ORDER on whose term max|H_m| z_abs^-m
+    is at most _SERIES_TAIL * rtol; if the terms grow before that, the order
+    of the smallest term; at most _MAX_ORDER.
     """
-    if order is not None:
-        return formal_series_coefficients(system, order)
     hs = formal_series_coefficients(system, _MAX_ORDER)
     terms = [float(np.max(np.abs(h))) * z_abs ** -m for m, h in enumerate(hs, 1)]
     order = _MIN_ORDER
@@ -368,19 +364,19 @@ def _series_frame(system: IrregularSystem, z: complex, log_z: complex,
 
 
 def canonical_frame(system: IrregularSystem, z: complex, log_z: complex, *,
-                    order: int | None = None, rtol: float = 1e-12) -> np.ndarray:
+                    rtol: float = 1e-12) -> np.ndarray:
     """Canonical frame F(z) on the sheet fixed by ``log_z``.
 
     Evaluates the formal series at 2z on the same ray (where it is more
     accurate) and continues the value back to z by Taylor steps of the
-    system itself.  The series order is ``order``, or by default planned
-    from its tail at 2|z| as in :func:`stokes_matrices`.
+    system itself.  The series order is planned from its tail at 2|z| as in
+    :func:`stokes_matrices`.
     """
     z = complex(z)
     if abs(cmath.exp(log_z) - z) > 1e-9 * abs(z):
         raise DomainError("log_z is not a logarithm of z")
     z2 = z * _SERIES_FACTOR
-    hs = _planned_series(system, order, abs(z2), rtol)
+    hs = _planned_series(system, abs(z2), rtol)
     f2 = _series_frame(system, z2, log_z + math.log(_SERIES_FACTOR), hs)
     return _taylor_path(system, [f2], [[z2, z]], (1,), rtol, _TaylorWork())[0][0]
 
@@ -437,7 +433,7 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
     if not _RHO < r / 4:
         raise DomainError(f"inner radius {_RHO} too large for extraction radius {r}")
     r2 = _SERIES_FACTOR * r
-    hs = _planned_series(system, None, r2, rtol)
+    hs = _planned_series(system, r2, rtol)
     order = len(hs)
     tail = float(np.max(np.abs(hs[-1]))) * r2 ** (-order)
 

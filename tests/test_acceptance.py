@@ -4,7 +4,8 @@ Each criterion is one test that prints a single ``criterion N: PASS/FAIL``
 line with the measured numbers; the assertion carries the same line, so the
 verdicts are visible both in the run log (via ``-rA``) and in any failure
 output.  Tolerances are pinned here and must not be loosened to make a
-criterion pass.
+criterion pass; ``cli_harness.TOLERANCES``, at which the ``isolab``
+subcommands gate, must equal them.
 
 The first four criteria share one deterministic 100-sample sweep of the
 closed-form maps; the later ones drive the ODE oracles (numerical Stokes
@@ -30,6 +31,7 @@ from isolab.arrows import (
     genericity_margin,
 )
 from isolab.cli_harness import (
+    TOLERANCES,
     U_BASE,
     SampleSpec,
     _random_flow_state,
@@ -65,6 +67,25 @@ TOL_JMMS_EQUIV = 1e-13
 TOL_BAND = 1e-3
 TOL_GAMMA = 1e-10
 TOL_MATRIX_POWER = 1e-10
+
+
+def test_cli_gates_at_these_tolerances():
+    # every ``isolab`` subcommand reads its tolerances from this one table
+    assert TOLERANCES == {
+        "roundtrip": TOL_ROUNDTRIP,
+        "trace_identity": TOL_TRACE_IDENTITY,
+        "cubic": TOL_CUBIC,
+        "p12": TOL_P12,
+        "stokes_entry": TOL_STOKES_ENTRY,
+        "stokes_triangularity": TOL_STOKES_TRI,
+        "stokes_diagonal": TOL_STOKES_DIAG,
+        "ladder_entry": TOL_LADDER_ENTRY,
+        "ladder_exponent": TOL_LADDER_EXPONENT,
+        "flow_diag": TOL_JMMS_DIAG,
+        "flow_spectrum": TOL_JMMS_SPECTRUM,
+        "rhs_equivalence": TOL_JMMS_EQUIV,
+        "shrink_band": TOL_BAND,
+    }
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:

@@ -9,6 +9,7 @@ exercised by the acceptance suite.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -27,8 +28,10 @@ from isolab.arrows import arrow_q, genericity_margin
 from isolab.cli_harness import (
     J_MODULUS,
     RE_SIGMA,
+    TOLERANCES,
     U_BASE,
     SampleSpec,
+    _build_parser,
     bridged_phi_at_u0,
     closed_form_checks,
     flow_checks,
@@ -218,9 +221,10 @@ class TestChecksMatchTheBenchmark:
 
         d = first("closed_form")[0]
         got = bench("closed_form", d)
-        # the Q^-1 checks that follow have no acceptance criterion
+        # the Q^-1 checks that follow have no acceptance criterion, and the
+        # benchmark does not compute the shared check's ungated fifth pair
         assert got[:4] == closed_form_checks(
-            d, lib.arrows.last["arrow_p"], lib.arrows.last["arrow_f"])
+            d, lib.arrows.last["arrow_p"], lib.arrows.last["arrow_f"])[:4]
 
         d = first("stokes_oracle")[0]
         got = bench("stokes_oracle", d)
@@ -271,13 +275,26 @@ class TestRoundtripCommand:
         assert (out1 / "roundtrip.json").read_bytes() == \
             (out2 / "roundtrip.json").read_bytes()
 
-    def test_unattainable_tolerance_fails_with_exit_1(self, tmp_path, capsys):
-        rc = main(["roundtrip", "--samples", "2", "--tol-roundtrip", "1e-30",
-                   "--out", str(tmp_path)])
+    def test_unattainable_tolerance_fails_with_exit_1(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(TOLERANCES, "roundtrip", 1e-30)
+        rc = main(["roundtrip", "--samples", "2", "--out", str(tmp_path)])
         assert rc == 1
         payload = read_json(tmp_path / "roundtrip.json")
         assert payload["failures"] == 2
+        assert payload["tolerances"]["roundtrip"] == 1e-30
         assert not payload["results"][0]["pass"]
+
+    def test_closed_form_traces_once_per_sample(self, monkeypatch):
+        traces, calls = arrows._closed_form_traces, []
+
+        def counting(d):
+            calls.append(d)
+            return traces(d)
+
+        for module in (arrows, cli_harness):
+            monkeypatch.setattr(module, "_closed_form_traces", counting)
+        assert main(["roundtrip", "--samples", "3"]) == 0
+        assert len(calls) == 3
 
 
 class TestLimitsCommand:
@@ -324,18 +341,31 @@ class TestLimitsCommand:
 
 class TestStokesCommand:
     def test_single_sample_run(self, tmp_path, capsys):
-        rc = main(["stokes", "--samples", "1", "--rtol", "1e-9",
-                   "--out", str(tmp_path)])
+        rc = main(["stokes", "--samples", "1", "--out", str(tmp_path)])
         assert rc == 0
         assert "1/1 samples passed" in capsys.readouterr().out
         payload = read_json(tmp_path / "stokes.json")
         assert payload["failures"] == 0
+        assert payload["tolerances"] == {"entrywise_err": 1e-6,
+                                         "triangularity_residual": 1e-6,
+                                         "diag_residual": 1e-8}
         assert payload["max_entrywise_err"] < 1e-6
+        assert payload["max_triangularity_residual"] < 1e-6
+        assert payload["max_diag_residual"] < 1e-8
         row = payload["results"][0]
         assert row["pass"] is True
-        assert row["triangularity_residual"] < 1e-6
-        assert row["diag_residual"] < 1e-6
         assert row["monodromy_mismatch"] < 1e-6
+
+    @pytest.mark.parametrize("check", ["stokes_triangularity", "stokes_diagonal"])
+    def test_structural_miss_fails_with_exit_1(self, check, tmp_path, monkeypatch):
+        monkeypatch.setitem(TOLERANCES, check, 0.0)
+        rc = main(["stokes", "--samples", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        payload = read_json(tmp_path / "stokes.json")
+        assert payload["failures"] == 1
+        row = payload["results"][0]
+        assert row["entrywise_err"] < TOLERANCES["stokes_entry"]
+        assert row["pass"] is False
 
     def test_reports_contour_deterministically(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -354,19 +384,18 @@ class TestStokesCommand:
 
 class TestJmmsCommand:
     def test_small_configuration_passes(self, tmp_path, capsys):
-        rc = main(["jmms", "--samples", "1", "--states", "3",
-                   "--path-length", "2", "--shrink-samples", "1",
-                   "--reach", "1e4", "--tol-band", "0.05",
+        rc = main(["jmms", "--samples", "1", "--shrink-samples", "1",
                    "--out", str(tmp_path)])
         assert rc == 0
         assert "checks passed" in capsys.readouterr().out
         payload = read_json(tmp_path / "jmms.json")
         assert payload["failures"] == 0
-        assert payload["max_equivalence"] < 1e-12
+        assert payload["max_equivalence"] < 1e-13
         assert payload["max_diag_drift"] < 1e-10
         assert payload["max_spectral_drift"] < 1e-8
-        assert payload["max_band_err"] < 0.05
+        assert payload["max_band_err"] < 1e-3
         assert len(payload["shrink_results"]) == 1
+        assert payload["shrink_results"][0]["reach"] == 1e10
         assert_csv_mirrors_rows(tmp_path / "jmms.csv", payload["results"], [
             "index", "n", "equivalence", "diag_drift", "spectral_drift", "pass"])
 
@@ -381,7 +410,7 @@ class TestJmmsCommand:
             return jmms_flow.flow_path(pts, phi, **kwargs)
 
         monkeypatch.setattr(cli_harness, "flow_path", collide_once)
-        rc = main(["jmms", "--samples", "1", "--states", "1", "--shrink-samples", "0",
+        rc = main(["jmms", "--samples", "1", "--shrink-samples", "0",
                    "--out", str(tmp_path)])
         assert rc == 0
         assert read_json(tmp_path / "jmms.json")["failures"] == 0
@@ -393,15 +422,28 @@ class TestJmmsCommand:
         assert 0.35 < rms[1] / rms[0] < 0.7
 
 
+class TestOptions:
+    def test_each_subcommand_has_exactly_these_options(self):
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        common = {"--seed", "--margin", "--out"}
+        assert got == {
+            "roundtrip": common | {"--samples"},
+            "limits": common | {"--sigma-re", "--sigma-im"},
+            "stokes": common | {"--samples"},
+            "jmms": common | {"--samples", "--shrink-samples"},
+        }
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["roundtrip", "--samples", "1", "--margin", "0"],
         ["roundtrip", "--samples", "0"],
         ["stokes", "--samples", "0"],
         ["jmms", "--samples", "0", "--shrink-samples", "0"],
-        ["limits", "--sigma-re", "0.5", "--n-ladder", "0"],
-    ], ids=["margin_0", "roundtrip_samples_0", "stokes_samples_0", "jmms_samples_0",
-            "limits_n_ladder_0"])
+    ], ids=["margin_0", "roundtrip_samples_0", "stokes_samples_0", "jmms_samples_0"])
     def test_configuration_errors_exit_2(self, argv, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path)])
         assert rc == 2

@@ -172,14 +172,6 @@ class TestFlow:
         u1[k] = u0[k] + shift
         assert np.max(np.abs(flow(u0, u1, m) - sol.y_end.reshape(3, 3))) < 1e-9
 
-    def test_record_returns_every_point(self):
-        rng = np.random.default_rng(84)
-        m = random_state(rng)
-        path = [random_u(rng) for _ in range(4)]
-        rec = flow_path(path, m, record=True)
-        assert len(rec) == 4
-        assert np.array_equal(rec[0], m)
-
     def test_collision_rejected(self):
         m = np.eye(3, dtype=complex)
         u0 = np.array([0.0 + 0j, 1.0, 3.0])

@@ -2,8 +2,9 @@
 
 Order and accuracy are certified against closed-form solutions (matrix
 exponentials, elementary ODEs) rather than against another library: halving
-a fixed step must shrink the error by ~2^8.  The error norm is checked
-against its definition, and the step controller's work counts are pinned.
+the step of the integrator's own one-step function must shrink the error by
+~2^8.  The error norm is checked against its definition, and the step
+controller's work counts are pinned.
 """
 
 from __future__ import annotations
@@ -14,11 +15,22 @@ import numpy as np
 import pytest
 
 from isolab.errors import BudgetError, DomainError, SingularityError
-from isolab.ode_engine import _error_norm, integrate
+from isolab.ode_engine import _error_norm, _step, integrate
 
 
 def linear_rhs(a: np.ndarray):
     return lambda t, y: a @ y
+
+
+def fixed_steps(f, t0: float, t1: float, y0, n: int) -> np.ndarray:
+    """``n`` equal steps of the integrator's DOP853 step from t0 to t1."""
+    y = np.asarray(y0, dtype=complex)
+    k = np.empty((13, y.shape[0]), dtype=complex)
+    h = (t1 - t0) / n
+    for i in range(n):
+        k[0] = f(t0 + i * h, y)
+        y = _step(f, t0 + i * h, y, h, k)
+    return y
 
 
 def expm_oracle(a: np.ndarray, t: float) -> np.ndarray:
@@ -53,12 +65,11 @@ class TestOrder:
     def test_fixed_step_halving_shows_eighth_order(self):
         # y' = y*cos(t), exact y = exp(sin(t)); the global error of the
         # eighth-order scheme falls by ~2^8 when h is halved (accept 180..360)
-        def err_at(h):
-            sol = integrate(lambda t, y: y * math.cos(t), 0.0, 2.0,
-                            np.array([1.0 + 0j]), fixed_step=h)
-            return abs(sol.y_end[0] - math.exp(math.sin(2.0)))
+        def err_at(n):
+            y = fixed_steps(lambda t, y: y * math.cos(t), 0.0, 2.0, [1.0], n)
+            return abs(y[0] - math.exp(math.sin(2.0)))
 
-        e1, e2 = err_at(0.4), err_at(0.2)
+        e1, e2 = err_at(5), err_at(10)
         ratio = e1 / e2
         assert 180.0 < ratio < 360.0
 
@@ -151,8 +162,7 @@ class TestFailureModes:
     def test_division_by_zero_in_rhs_is_a_singularity(self):
         # the last stage of the step from t = -0.5 evaluates 1/t at t = 0
         with pytest.raises(SingularityError) as exc:
-            integrate(lambda t, y: np.array([1.0 / t]), -1.0, 1.0, [0.0],
-                      fixed_step=0.5)
+            fixed_steps(lambda t, y: np.array([1.0 / t]), -1.0, 1.0, [0.0], 4)
         assert exc.value.location == -0.5
 
     def test_budget_error(self):
@@ -164,8 +174,6 @@ class TestFailureModes:
     def test_invalid_input_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda t, y: y, 0.0, 1.0, np.ones((2, 2), dtype=complex))
-        with pytest.raises(DomainError):
-            integrate(lambda t, y: y, 0.0, 1.0, np.array([1.0 + 0j]), fixed_step=0.0)
 
     def test_zero_span_returns_initial(self):
         y0 = np.array([2.0 + 1j])

@@ -155,17 +155,17 @@ class TestTaylorContinuation:
             stokes_matrices(IrregularSystem(U3, PHI_DIAG), rtol=0.0)
 
 
-def _four_continuations(system: IrregularSystem, r: float,
-                        order: int) -> tuple[np.ndarray, np.ndarray]:
+def _four_continuations(system: IrregularSystem, r: float) -> tuple[np.ndarray, np.ndarray]:
     """(S+, S-) composed from one-frame continuations on the contour of a
-    ``stokes_matrices`` run: radius ``r``, series ``order``, 8-chord arcs.
+    ``stokes_matrices`` run: radius ``r``, 8-chord arcs, and the series order
+    that both plan from the tail at 2r.
 
     Each canonical frame is made at its own base point, and each frame is
     continued along its own dumbbell, the upper one drawn from its own arc.
     """
     ln_r = math.log(r)
-    f_plus = canonical_frame(system, r, ln_r, order=order)
-    f_minus = canonical_frame(system, -r, ln_r - 1j * math.pi, order=order)
+    f_plus = canonical_frame(system, r, ln_r)
+    f_minus = canonical_frame(system, -r, ln_r - 1j * math.pi)
     fp_cont = continue_frame(system, f_plus, [r] + _arc(1.5, 0.0, -math.pi, 8) + [-r])
     fm_cont = continue_frame(system, f_minus,
                              [-r] + _arc(1.5, -math.pi, -2.0 * math.pi, 8) + [r])
@@ -186,7 +186,7 @@ class TestStackedContinuation:
             system = IrregularSystem(U_BASE, bridged_phi_at_u0(d))
         got = stokes_matrices(system)
         for stacked, single in zip((got.s_plus, got.s_minus),
-                                   _four_continuations(system, got.radius, got.order)):
+                                   _four_continuations(system, got.radius)):
             rel = np.max(np.abs(stacked - single)) / np.max(np.abs(single))
             assert rel <= 1e-12
 

@@ -15,15 +15,19 @@ The file holds ``runs`` (one entry per run: workload, seed, side, whether it
 ran first, ``correct``, ``attempted``, ``failed``, ``passes`` and the
 end-to-end metrics) and ``summary`` (per workload: the number of pairs,
 whether every run of a side was correct, per-seed ``[seed, failed,
-attempted]`` and ``[seed, passes]`` lists of each side, whether each seed has
-the same failed/attempted share on both sides, and, for each end-to-end
+attempted]`` and ``[seed, passes]`` lists of each side, each side's pooled
+``[failed, attempted]`` over its seeds and its one-pass share, whether each
+seed has the same failed/attempted share on both sides, and, for each end-to-end
 metric of ``BENCHMARK.json``, its bound, the inclusive quartiles of each side,
 the parent's IQR, the pairs the change won and the signed median change,
 positive when better: relative, or absolute for a log10 metric).  A timed run
 makes as many whole passes over its workload's fixed set as its time allows,
 and ``attempted`` counts every pass; ``passes`` is the count perfbench
-prints ("... in N passes"), so a pooled failure share that moves only
-because the pass counts differ shows in the file.
+prints ("... in N passes").  The pooled share weights each seed by its
+passes, while the one-pass share, sum(failed / passes) / sum(attempted /
+passes), weights every seed once; a pooled share that moves while the
+one-pass share stays moved only because the pass counts differ.  Both
+shares are printed per workload at the end.
 """
 
 from __future__ import annotations
@@ -105,6 +109,13 @@ def summarise(runs: list[dict], specs: list[dict]) -> dict:
                 [pair[i]["seed"], pair[i]["failed"], pair[i]["attempted"]] for pair in pairs]
             entry[f"{side}_passes"] = [[pair[i]["seed"], pair[i]["passes"]]
                                        for pair in pairs]
+            runs_of_side = [pair[i] for pair in pairs]
+            entry[f"{side}_pooled_failed_attempted"] = [
+                sum(r["failed"] for r in runs_of_side),
+                sum(r["attempted"] for r in runs_of_side)]
+            entry[f"{side}_one_pass_share"] = round(
+                sum(r["failed"] / r["passes"] for r in runs_of_side)
+                / sum(r["attempted"] / r["passes"] for r in runs_of_side), 8)
         entry["same_share_every_seed"] = all(
             p["failed"] * c["attempted"] == c["failed"] * p["attempted"] for p, c in pairs)
         entry["same_passes_every_seed"] = all(p["passes"] == c["passes"] for p, c in pairs)
@@ -168,6 +179,11 @@ def main(argv: list[str] | None = None) -> int:
                           + json.dumps(report["runs"][-1]["metrics"]), flush=True)
                 report["summary"] = summarise(report["runs"], specs)
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, entry in report["summary"].items():
+        for side in SIDES:
+            failed, attempted = entry[f"{side}_pooled_failed_attempted"]
+            print(f"{workload} {side}: pooled {failed}/{attempted}, "
+                  f"one-pass share {entry[f'{side}_one_pass_share']:.6g}")
     return 0
 
 
