@@ -364,7 +364,7 @@ def _gamma(z: complex, what: str) -> complex:
 def _block_spectra(phi: np.ndarray) -> list[list[complex]]:
     """Ordered eigenvalue lists of the leading k x k blocks, k = 1, 2, 3."""
     p = _eigen2(phi[:2, :2])
-    return [[complex(phi[0, 0])], [p.lambda1, p.lambda2], list(_eigen3(phi).values)]
+    return [[complex(phi[0, 0])], [p.lambda1, p.lambda2], list(_eigen3(phi))]
 
 
 def _stokes_entry(m: np.ndarray, sp: list[list[complex]], k: int, lower: bool) -> complex:

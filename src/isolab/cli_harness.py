@@ -19,14 +19,16 @@ library defaults; neither is settable.  Subcommands:
   each other, the drifts along random flow paths and the band of rays.
 
 ``roundtrip``, ``stokes`` and ``jmms`` gate their rows through ``_gate`` (a
-check per row key, a ``max_<key>`` per gated key), and every subcommand
+check per row key, a ``max_<key>`` per gated key), and every report records
+the tolerance of each gated key under ``tolerances``.  Every subcommand
 writes ``<command>.json`` and ``<command>.csv`` through ``_write``.  Reports
 are byte-stable across reruns: keys are sorted, floats are emitted natively,
 and no timestamps or host data are recorded.  Sampling is deterministic per
 (seed, index), so a draw does not depend on how many others are drawn.
 
 Exit codes: 0 all checks passed; 1 a computation failed or a tolerance was
-exceeded; 2 usage or configuration error (``--samples`` below 1 among them).
+exceeded; 2 usage or configuration error (``--samples`` below 1 and a
+negative ``--shrink-samples`` among them).
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ TOLERANCES = {
 JMMS_STATES = 250
 JMMS_PATH_LENGTH = 10
 JMMS_REACH = 1e10
+
+#: The bridge's seed point and the relative tolerance of its integration.
+_BRIDGE_X_SEED = 1e-5
+_BRIDGE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -214,13 +220,15 @@ def rhs_checks(u: np.ndarray, phi: np.ndarray, k: int) -> list[tuple[str, float]
 # report plumbing
 
 
-def _gate(rows: list[dict], gates: dict[str, str]) -> tuple[int, dict]:
-    """Pass rows whose keys are below ``TOLERANCES[check]``; count failures, take maxima."""
+def _gate(rows: list[dict], gates: dict[str, str]) -> tuple[int, dict, dict]:
+    """Pass rows whose keys are below ``TOLERANCES[check]``; count failures, maxima, tolerances."""
+    tolerances = {key: TOLERANCES[check] for key, check in gates.items()}
     for r in rows:
-        r["pass"] = all(r[key] < TOLERANCES[check] for key, check in gates.items())
+        r["pass"] = all(r[key] < tol for key, tol in tolerances.items())
     return (sum(not r["pass"] for r in rows),
             {f"max_{key}": max((r[key] for r in rows), default=None)
-             for key in gates})
+             for key in gates},
+            tolerances)
 
 
 def _write(args, command: str, payload: dict, rows: list[dict] | None = None) -> None:
@@ -267,11 +275,9 @@ def cmd_roundtrip(args) -> int:
     results = [work(i) for i in range(args.samples)]
     gates = {"roundtrip_err": "roundtrip", "cubic": "cubic", "p12_err": "p12",
              "identity": "trace_identity"}
-    failures, maxima = _gate(results, gates)
+    failures, maxima, tolerances = _gate(results, gates)
     _write(args, "roundtrip", {
-        "samples": args.samples,
-        "tolerances": {key.removesuffix("_err"): TOLERANCES[check]
-                       for key, check in gates.items()},
+        "samples": args.samples, "tolerances": tolerances,
         "failures": failures, **maxima, "results": results,
     }, results)
     print(f"roundtrip: {args.samples - failures}/{args.samples} samples passed "
@@ -310,6 +316,8 @@ def cmd_limits(args) -> int:
     ref = arrow_q(d).phi0
     _write(args, "limits", {
         "sigma": sigma,
+        "tolerances": {"entrywise_err": TOLERANCES["ladder_entry"],
+                       "y_correction_exponent": TOLERANCES["ladder_exponent"]},
         "entrywise_err": err,
         "y_correction_exponent": rep.y_correction_exponent,
         "expected_exponent": expected_p,
@@ -324,8 +332,7 @@ def cmd_limits(args) -> int:
     return 0 if ok else 1
 
 
-def bridged_phi_at_u0(d: PviAsymptoticData, *, x_seed: float = 1e-5,
-                      rtol: float = 1e-12) -> np.ndarray:
+def bridged_phi_at_u0(d: PviAsymptoticData) -> np.ndarray:
     """Phi at the reference configuration U_BASE via the trajectory bridge.
 
     Seeds the trajectory with the unit gauge, extends it to the cross-ratio
@@ -333,8 +340,8 @@ def bridged_phi_at_u0(d: PviAsymptoticData, *, x_seed: float = 1e-5,
     power of the scale u3 - u1 = 3i (principal logarithm: its numeric Stokes
     matrices then match the closed-form pair entrywise).
     """
-    seed = seed_asymptotic(d, x_seed, target_rel=1e-9)
-    (pt,) = extend_trajectory(d.thetas, seed, [1.0 / 3.0], rtol=rtol)
+    seed = seed_asymptotic(d, _BRIDGE_X_SEED, target_rel=1e-9)
+    (pt,) = extend_trajectory(d.thetas, seed, [1.0 / 3.0], rtol=_BRIDGE_RTOL)
     om = omega_from_state(d.thetas, pt.x, pt.y, pt.yp, pt.k1, pt.k2)
     return phi_from_omega(om, d.thetas, U_BASE[2] - U_BASE[0])
 
@@ -366,10 +373,9 @@ def cmd_stokes(args) -> int:
     gates = {"entrywise_err": "stokes_entry",
              "triangularity_residual": "stokes_triangularity",
              "diag_residual": "stokes_diagonal"}
-    failures, maxima = _gate(results, gates)
+    failures, maxima, tolerances = _gate(results, gates)
     _write(args, "stokes", {
-        "samples": args.samples,
-        "tolerances": {key: TOLERANCES[check] for key, check in gates.items()},
+        "samples": args.samples, "tolerances": tolerances,
         "failures": failures, **maxima, "results": results,
     }, results)
     print(f"stokes: {args.samples - failures}/{args.samples} samples passed "
@@ -447,18 +453,21 @@ def cmd_jmms(args) -> int:
 
     results = [work(i) for i in range(args.samples)]
     shrinks = [shrink_work(i) for i in range(args.shrink_samples)]
-    failures, maxima = _gate(results, {"equivalence": "rhs_equivalence",
-                                       "diag_drift": "flow_diag",
-                                       "spectral_drift": "flow_spectrum"})
-    shrink_failures, band = _gate(shrinks, {"band_err": "shrink_band"})
+    failures, maxima, tolerances = _gate(results, {"equivalence": "rhs_equivalence",
+                                                   "diag_drift": "flow_diag",
+                                                   "spectral_drift": "flow_spectrum"})
+    shrink_failures, band, band_tolerance = _gate(shrinks, {"band_err": "shrink_band"})
     failures += shrink_failures
-    _write(args, "jmms", {"samples": args.samples, "failures": failures, **maxima,
-                          **band, "results": results, "shrink_results": shrinks},
+    _write(args, "jmms", {"samples": args.samples,
+                          "tolerances": {**tolerances, **band_tolerance},
+                          "failures": failures, **maxima, **band,
+                          "results": results, "shrink_results": shrinks},
            results)
     total = args.samples + args.shrink_samples
+    max_band = band["max_band_err"]
     print(f"jmms: {total - failures}/{total} checks passed "
           f"(max equivalence {maxima['max_equivalence']:.3e}, "
-          f"max band err {band['max_band_err']})")
+          f"max band err {'none' if max_band is None else f'{max_band:.3e}'})")
     return 0 if failures == 0 else 1
 
 
@@ -512,6 +521,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "samples", 1) < 1:
             raise ConfigError("--samples must be at least 1")
+        if getattr(args, "shrink_samples", 0) < 0:
+            raise ConfigError("--shrink-samples must not be negative")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

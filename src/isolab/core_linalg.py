@@ -22,7 +22,6 @@ from .errors import DegenerateSpectrumError, DomainError
 
 __all__ = [
     "SpectrumPair",
-    "Eigen3",
     "as_matrix",
     "delta_k",
     "eigen2",
@@ -31,7 +30,7 @@ __all__ = [
     "matrix_power_scalar",
 ]
 
-#: Relative tolerance below which eigenvalue pairs are flagged degenerate.
+#: Relative tolerance below which a 2x2 eigenvalue pair is flagged degenerate.
 DEGENERACY_RTOL = 1e-8
 
 
@@ -63,14 +62,6 @@ class SpectrumPair:
     @property
     def sigma(self) -> complex:
         return self.lambda1 - self.lambda2
-
-
-@dataclass(frozen=True)
-class Eigen3:
-    """Eigenvalue triple sorted by descending real part, then descending imaginary part."""
-
-    values: tuple[complex, complex, complex]
-    degenerate: bool
 
 
 def delta_k(a, k: int) -> np.ndarray:
@@ -120,39 +111,25 @@ def _eigen2(m: np.ndarray) -> SpectrumPair:
     return SpectrumPair(l1, l2, degenerate=abs(l1 - l2) < DEGENERACY_RTOL * scale)
 
 
-def eigen3(a, degeneracy_rtol: float = DEGENERACY_RTOL) -> Eigen3:
+def eigen3(a) -> tuple[complex, complex, complex]:
     """Eigenvalues of a 3x3 complex matrix via its companion matrix.
 
     The characteristic cubic is assembled from trace power sums (Newton's
     identities) and handed to ``np.roots``, i.e. a balanced companion-matrix
-    QR solve.  Roots are sorted by descending real part, ties by descending
-    imaginary part; near-coincident roots only set the ``degenerate`` flag,
-    they never raise.
-
-    Caveat on the flag: root-finding splits an exactly repeated root by
-    ~sqrt(machine eps) * scale (the gap enters the coefficients squared), so
-    with the default tolerance of 1e-8 an exact double eigenvalue sits right
-    at the detection floor and may be reported non-degenerate.  Callers that
-    must catch exact degeneracies should pass ``degeneracy_rtol`` around
-    1e-6.  The 2x2 route (:func:`eigen2`) does not share this floor: its
-    discriminant vanishes exactly for a repeated root.
+    QR solve.  The triple is sorted by descending real part, ties by
+    descending imaginary part; coincident roots never raise.
     """
-    return _eigen3(as_matrix(a, 3), degeneracy_rtol)
+    return _eigen3(as_matrix(a, 3))
 
 
-def _eigen3(m: np.ndarray, degeneracy_rtol: float = DEGENERACY_RTOL) -> Eigen3:
+def _eigen3(m: np.ndarray) -> tuple[complex, complex, complex]:
     t1 = complex(np.trace(m))
     t2 = complex(np.trace(m @ m))
     e1 = t1
     e2 = (t1 * t1 - t2) / 2.0
     e3 = complex(np.linalg.det(m))
     roots = np.roots([1.0, -e1, e2, -e3])
-    vals = sorted((complex(r) for r in roots), key=lambda z: (-z.real, -z.imag))
-    scale = max(1.0, *(abs(v) for v in vals))
-    gap = min(
-        abs(vals[0] - vals[1]), abs(vals[0] - vals[2]), abs(vals[1] - vals[2])
-    )
-    return Eigen3(tuple(vals), degenerate=gap < degeneracy_rtol * scale)
+    return tuple(sorted((complex(r) for r in roots), key=lambda z: (-z.real, -z.imag)))
 
 
 def minor(a, rows: tuple[int, ...] | list[int], cols: tuple[int, ...] | list[int]) -> complex:

@@ -21,8 +21,8 @@ entrywise product (diagonal zero).  Both integrated right-hand sides are
 evaluated entrywise, in forms free of cancellation between large products.
 
 The flow preserves the diagonal of Phi and its spectrum; drift in either is
-the integration-quality metric.  ``shrinking_check`` pushes one coordinate
-u_k to infinity along its ray and tracks the real eigenvalue-difference band
+the integration-quality metric.  ``shrinking_check`` scales one coordinate
+u_k radially out to infinity and tracks the real eigenvalue-difference band
 of the upper 2x2 block, which contracts onto |Re sigma| of the boundary
 value.  ``phi_from_omega`` is the bridge from a Painleve VI trajectory
 residue matrix Omega(x) to Phi(u) at the matching u-configuration.
@@ -59,6 +59,9 @@ _ATOL = 1e-14
 #: step budget of one flow segment and of one shrinking-ray segment
 _FLOW_MAX_STEPS = 500_000
 _SHRINK_MAX_STEPS = 2_000_000
+#: checkpoints of a shrinking ray, and the relative tolerance of its segments
+_N_CHECKPOINTS = 15
+_SHRINK_RTOL = 1e-12
 #: two u-coordinates collide along a segment when their distance falls below
 #: this times the pair's magnitude (at least 1)
 _COLLISION_TOL = 1e-9
@@ -264,24 +267,23 @@ def _band(phi: np.ndarray) -> float:
     return float(max(abs((a - b).real) for a in lam for b in lam))
 
 
-def _shrink_rhs(uu: np.ndarray, k: int, direction: complex, delta: np.ndarray):
-    """dPsi/ds of ``shrinking_check``'s co-moving gauge, flattened.
+def _shrink_rhs(uu: np.ndarray, k: int, delta: np.ndarray):
+    """dPsi/dtau of ``shrinking_check``'s co-moving gauge, flattened.
 
-    u_k(s) = u_k + s * direction; the gauge term is rate (delta_i - delta_j)
-    psi_ij with rate = d log|u_k(s)| / ds, and [B_k, Psi] is taken in the
-    entrywise form of the module docstring.  Off row and column k it is
-    (u_i - u_j) c_i c_j psi_ik psi_kj, by c_i - c_j = (u_i - u_j) c_i c_j,
-    so the two large products c_i psi psi and c_j psi psi never cancel.
+    u_k = e^tau u_k(0); the gauge term is (delta_i - delta_j) psi_ij, and
+    u_k [B_k, Psi] is taken in the entrywise form of the module docstring.
+    Off row and column k, [B_k, Psi] is (u_i - u_j) c_i c_j psi_ik psi_kj, by
+    c_i - c_j = (u_i - u_j) c_i c_j, so the two large products c_i psi psi
+    and c_j psi psi never cancel.
     """
     n = uu.shape[0]
     uk0 = complex(uu[k])
-    ddelta = delta[:, None] - delta[None, :]
+    gauge = delta[:, None] - delta[None, :]
     udiff = uu[:, None] - uu[None, :]
 
-    def rhs(s, state):
+    def rhs(tau, state):
         psi = state.reshape(n, n)
-        uk = uk0 + s * direction
-        rate = (uk.conjugate() * direction).real / abs(uk) ** 2
+        uk = uk0 * math.exp(tau)
         # c_i = 1/(u_k - u_i), c_k = 0
         den = uk - uu
         den[k] = 1.0
@@ -293,37 +295,31 @@ def _shrink_rhs(uu: np.ndarray, k: int, direction: complex, delta: np.ndarray):
         comm[:, k] = psi[k, k] * c_col - psi @ c_col
         comm[k] = c_row @ psi - psi[k, k] * c_row
         comm[k, k] = 0.0
-        return (rate * (ddelta * psi) + direction * comm).ravel()
+        return (gauge * psi + uk * comm).ravel()
 
     return rhs
 
 
-def shrinking_check(u0, phi0, ray: complex | None = None, *,
-                    reach: float = 1e8, n_checkpoints: int = 15,
-                    rtol: float = 1e-12) -> ShrinkReport:
-    """Flow the last u-coordinate out along a ray and record the block band.
+def shrinking_check(u0, phi0, *, reach: float = 1e8) -> ShrinkReport:
+    """Scale the last u-coordinate out radially and record the block band.
 
     The band -- the largest |Re(lambda_i - lambda_j)| over the upper-left
     (n-1) x (n-1) block -- contracts onto the invariant |Re sigma| of the
-    boundary value as the separation grows; checkpoints are spaced so that
-    |u_k| visits log-uniform multiples of its start value up to ``reach``.
-    ``ray`` is the complex direction of travel of that coordinate u_k
-    (default: radially outward); it must not decrease |u_k|.
+    boundary value as the separation grows.  u_k runs through c u_k(0) for
+    c from 1 to ``reach``, with ``_N_CHECKPOINTS`` checkpoints at
+    log-uniform c.
 
     The integration runs in the co-moving gauge Psi = c^dPhi Phi c^-dPhi
-    with c = |u_k|/|u_k(0)| and dPhi the (conserved) diagonal: the raw Phi
-    entries grow like algebraic powers of the separation, which makes the
-    commutator right side cancel catastrophically at large reach, while Psi
-    stays bounded.  The band and the diagonal are gauge-invariant, and the
-    final Phi is reconstructed by undoing the (diagonal) gauge.
+    with dPhi the (conserved) diagonal: the raw Phi entries grow like
+    algebraic powers of the separation, which makes the commutator right
+    side cancel catastrophically at large reach, while Psi stays bounded.
+    The band and the diagonal are gauge-invariant, and the final Phi is
+    reconstructed by undoing the (diagonal) gauge.
 
-    The integration variable is tau = log1p(s |ray| / |u_k|), with
-    right-hand side (e^tau / speed) dPsi/ds at s = expm1(tau) / speed,
-    speed = |ray| / |u_k|.  The gauge term decays like 1/s and the
-    corrections like powers of 1/s, so in tau the right-hand side is nearly
-    constant per e-fold of the reach.  The map is smooth for every accepted
-    ray, radial or not; a ``SingularityError`` reports its location as an s
-    value.
+    The integration variable is tau = log c.  The gauge term is then the
+    constant (delta_i - delta_j) psi_ij and the corrections decay like
+    powers of 1/c, so the right-hand side is nearly constant per e-fold of
+    the reach.  A ``SingularityError`` reports its location as s = c - 1.
     """
     uu, m = _coerce(u0, phi0)
     n = uu.shape[0]
@@ -332,60 +328,37 @@ def shrinking_check(u0, phi0, ray: complex | None = None, *,
         raise DomainError("ray coordinate must be nonzero to scale it outward")
     if reach <= 1.0:
         raise DomainError("reach must exceed 1")
-    direction = complex(uu[k] if ray is None else ray)
-    if abs(direction) == 0.0:
-        raise DomainError("ray direction must be nonzero")
-    if (uu[k].conjugate() * direction).real < -1e-12 * abs(uu[k]) * abs(direction):
-        raise DomainError("ray must not decrease |u_k| at the start point")
 
-    r0 = abs(uu[k])
-    cross = (uu[k].conjugate() * direction).real
-
-    def s_at(factor: float) -> float:
-        # positive root of |u_k + s*direction| = factor * |u_k|
-        a = abs(direction) ** 2
-        b = 2.0 * cross
-        c = r0 ** 2 * (1.0 - factor ** 2)
-        disc = b * b - 4.0 * a * c
-        return float((-b + math.sqrt(max(disc, 0.0))) / (2.0 * a))
-
-    factors = list(np.logspace(0.0, np.log10(reach), n_checkpoints))
-    stops = [s_at(f) for f in factors]
+    factors = list(np.logspace(0.0, np.log10(reach), _N_CHECKPOINTS))
+    taus = [math.log(c) for c in factors]
     delta = np.diag(m).copy()
 
-    def u_of(s: float) -> np.ndarray:
+    def u_of(c: float) -> np.ndarray:
         u = uu.copy()
-        u[k] = uu[k] + s * direction
+        u[k] = c * uu[k]
         return u
 
-    speed = abs(direction) / r0
-    f = _shrink_rhs(uu, k, direction, delta)
-
-    def rhs(tau, state):
-        return (math.exp(tau) / speed) * f(math.expm1(tau) / speed, state)
-
+    rhs = _shrink_rhs(uu, k, delta)
     psi = m.copy()
     bands = [_band(psi)]
     nfev = naccept = nreject = 0
-    for s_a, s_b in zip(stops[:-1], stops[1:]):
-        _segment_collision_check(u_of(s_a), u_of(s_b), _COLLISION_TOL)
+    for i in range(_N_CHECKPOINTS - 1):
+        _segment_collision_check(u_of(factors[i]), u_of(factors[i + 1]), _COLLISION_TOL)
         try:
-            sol = integrate(rhs, math.log1p(s_a * speed), math.log1p(s_b * speed),
-                            psi.ravel(), rtol=rtol, atol=_ATOL,
-                            max_steps=_SHRINK_MAX_STEPS)
+            sol = integrate(rhs, taus[i], taus[i + 1], psi.ravel(), rtol=_SHRINK_RTOL,
+                            atol=_ATOL, max_steps=_SHRINK_MAX_STEPS)
         except SingularityError as exc:
-            s_pole = math.expm1(exc.location) / speed
-            raise SingularityError(f"{exc} in tau = log1p(s |ray| / |u_k|), "
-                                   f"at s = {s_pole:.6e}", location=s_pole) from exc
+            s_pole = math.expm1(exc.location)
+            raise SingularityError(f"{exc} in tau = log c, at s = {s_pole:.6e}",
+                                   location=s_pole) from exc
         psi = sol.y_end.reshape(n, n)
         bands.append(_band(psi))
         nfev += sol.nfev
         naccept += sol.naccept
         nreject += sol.nreject
     # undo the gauge: Phi_ij = Psi_ij * c^(delta_j - delta_i)
-    log_c = math.log(abs(uu[k] + stops[-1] * direction) / r0)
-    phi_final = psi * np.exp(log_c * (delta[None, :] - delta[:, None]))
-    return ShrinkReport(factors=factors, bands=bands, u_final=u_of(stops[-1]),
+    phi_final = psi * np.exp(taus[-1] * (delta[None, :] - delta[:, None]))
+    return ShrinkReport(factors=factors, bands=bands, u_final=u_of(factors[-1]),
                         phi_final=phi_final, nfev=nfev, naccept=naccept,
                         nreject=nreject)
 

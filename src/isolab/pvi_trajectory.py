@@ -634,16 +634,12 @@ def a_matrix(thetas, pt: TrajectoryPoint) -> np.ndarray:
     return delta_k(_conjugate_by_x_dphi(thetas, pt.x, om), 2)
 
 
-def b_matrix(d: PviAsymptoticData, pt: TrajectoryPoint,
-             phi2: np.ndarray | None = None) -> np.ndarray:
+def b_matrix(d: PviAsymptoticData, pt: TrajectoryPoint, phi2: np.ndarray) -> np.ndarray:
     """The fully regularised matrix B(x) = x^{-d2Phi0} x^{dPhi} Omega x^{-dPhi} x^{d2Phi0}.
 
     B(x) -> Phi0 as x -> 0; ``phi2`` is the truncated boundary value
-    delta_2(Phi0) used as the regulator (computed from the closed form when
-    not supplied).
+    delta_2(Phi0) used as the regulator.
     """
-    if phi2 is None:
-        phi2 = delta_k(arrow_q(d).phi0, 2)
     om = omega_from_state(d.thetas, pt.x, pt.y, pt.yp, pt.k1, pt.k2)
     conj = _conjugate_by_x_dphi(d.thetas, pt.x, om)
     lx = math.log(pt.x)
@@ -699,13 +695,13 @@ class LimitReport:
 
 
 def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
-                       n_ladder: int = 14, rtol: float = 1e-11) -> LimitReport:
+                       n_ladder: int = 14) -> LimitReport:
     """Drive the trajectory oracle: seed, ladder, regularise, extrapolate.
 
     The trajectory is seeded below the smallest ladder point and integrated
-    upward through the geometric ladder x_small * 2^j, j < n_ladder, and both
-    regularised families are extrapolated with the known-power least-squares
-    fit.
+    upward, at ``extend_trajectory``'s default rtol, through the geometric
+    ladder x_small * 2^j, j < n_ladder, and both regularised families are
+    extrapolated with the known-power least-squares fit.
 
     ``y_correction_exponent`` is the log-log slope of the transcendent's own
     relative correction y/(J x^(1-sigma)) - 1 over the six smallest ladder
@@ -728,7 +724,7 @@ def regularized_limits(d: PviAsymptoticData, *, x_small: float = 1e-6,
             f"ladder extends to {ladder[-1]:.3g} > 0.1; shrink x_small or n_ladder"
         )
     seed = seed_asymptotic(d, x_small / _LADDER_RATIO ** 2, target_rel=1e-8)
-    pts = extend_trajectory(d.thetas, seed, ladder, rtol=rtol)
+    pts = extend_trajectory(d.thetas, seed, ladder)
     a_vals = [a_matrix(d.thetas, p) for p in pts]
     xs = [p.x for p in pts]
     powers = correction_powers(d.sigma)

@@ -104,6 +104,9 @@ _SERIES_FACTOR = 2.0
 _RHO = 1.5
 #: Chords of the polygon that stands in for each arc.
 _N_ARC = 8
+#: Relative triangularity and diagonal-law residual above which the
+#: extraction raises AccuracyError.
+_CHECK_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -412,26 +415,23 @@ class StokesNumericResult:
     tail_bound: float
 
 
-def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
-                    rtol: float = 1e-12, check_tol: float = 1e-5) -> StokesNumericResult:
+def stokes_matrices(system: IrregularSystem, *, rtol: float = 1e-12) -> StokesNumericResult:
     """Compute (S+, S-) numerically via dumbbell continuation.
 
     One batched Taylor continuation makes the four frame values: (F+ from
     2R, F- from -2R) down to +-R, where F+(R) and F-(-R) are read, and on
     around the lower dumbbell and its negation.
 
-    The contour is planned from the formal series: R defaults to
-    :func:`default_radius`, and the series, evaluated at 2R, is truncated at
-    the smallest order m >= 9 whose term max|H_m| (2R)^-m is at most 1e-3
-    rtol (the order of the smallest term if the terms grow first, at most
-    24).  Each arc of radius 1.5 is a polygon of 8 chords.
+    The contour is planned from the formal series: R is
+    :func:`default_radius`, at least 20, and the series, evaluated at 2R, is
+    truncated at the smallest order m >= 9 whose term max|H_m| (2R)^-m is at
+    most 1e-3 rtol (the order of the smallest term if the terms grow first,
+    at most 24).  Each arc of radius 1.5 is a polygon of 8 chords.
 
     Raises :class:`AccuracyError` when the triangular structure or the
-    diagonal law e^{-i pi phi_kk} fails beyond ``check_tol`` (relative).
+    diagonal law e^{-i pi phi_kk} fails beyond ``_CHECK_TOL`` (relative).
     """
-    r = default_radius(system) if radius is None else float(radius)
-    if not _RHO < r / 4:
-        raise DomainError(f"inner radius {_RHO} too large for extraction radius {r}")
+    r = default_radius(system)
     r2 = _SERIES_FACTOR * r
     hs = _planned_series(system, r2, rtol)
     order = len(hs)
@@ -465,14 +465,14 @@ def stokes_matrices(system: IrregularSystem, *, radius: float | None = None,
         float(np.max(np.abs(np.diag(s_plus) - e_minus))),
         float(np.max(np.abs(np.diag(s_minus) - e_minus))),
     ) / max(1.0, float(np.max(np.abs(e_minus))))
-    if tri > check_tol:
+    if tri > _CHECK_TOL:
         raise AccuracyError(
-            f"Stokes triangularity residual {tri:.3e} exceeds {check_tol:.1e}",
+            f"Stokes triangularity residual {tri:.3e} exceeds {_CHECK_TOL:.1e}",
             residual=tri,
         )
-    if diag_res > check_tol:
+    if diag_res > _CHECK_TOL:
         raise AccuracyError(
-            f"Stokes diagonal-law residual {diag_res:.3e} exceeds {check_tol:.1e}",
+            f"Stokes diagonal-law residual {diag_res:.3e} exceeds {_CHECK_TOL:.1e}",
             residual=diag_res,
         )
     return StokesNumericResult(

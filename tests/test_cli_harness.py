@@ -10,8 +10,10 @@ exercised by the acceptance suite.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from isolab import arrows, cli_harness, jmms_flow, pvi_trajectory, stokes_numeric
+from isolab import arrows, cli_harness, core_linalg, jmms_flow, pvi_trajectory, stokes_numeric
 from isolab.arrows import arrow_q, genericity_margin
 from isolab.cli_harness import (
     J_MODULUS,
@@ -142,7 +144,7 @@ class TestBridgeConstants:
         # the cross-ratio of U_BASE, so individual entries move; the diagonal
         # and the spectrum are conserved and must match the boundary value.
         d = sample_parameters(SampleSpec(narrow=True), 0)
-        phi = bridged_phi_at_u0(d, x_seed=1e-4, rtol=1e-10)
+        phi = bridged_phi_at_u0(d)
         phi0 = arrow_q(d).phi0
         np.testing.assert_allclose(np.diag(phi), np.diag(phi0), atol=1e-12)
         key = lambda v: sorted(v, key=lambda z: (z.real, z.imag))
@@ -168,10 +170,11 @@ class TestBridgeIntegration:
         assert 0 < sum(seen) <= 130
 
     @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_default_agrees_with_a_tight_reference(self, index):
+    def test_default_agrees_with_a_tight_reference(self, index, monkeypatch):
         d = sample_parameters(SampleSpec(seed=2026, narrow=True), index)
         got = bridged_phi_at_u0(d)
-        ref = bridged_phi_at_u0(d, rtol=1e-14)
+        monkeypatch.setattr(cli_harness, "_BRIDGE_RTOL", 1e-14)
+        ref = bridged_phi_at_u0(d)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
@@ -257,10 +260,10 @@ class TestRoundtripCommand:
         assert payload["samples"] == 4
         assert len(payload["results"]) == 4
         tol = payload["tolerances"]
-        assert payload["max_roundtrip_err"] < tol["roundtrip"]
-        assert payload["max_cubic"] < tol["cubic"]
-        assert payload["max_p12_err"] < tol["p12"]
-        assert payload["max_identity"] < tol["identity"]
+        assert tol == {"roundtrip_err": 1e-8, "cubic": 1e-8, "p12_err": 1e-10,
+                       "identity": 1e-9}
+        for key, bound in tol.items():
+            assert payload[f"max_{key}"] < bound
 
         row = payload["results"][0]
         assert set(row) == {"index", "roundtrip_err", "cubic", "p12_err",
@@ -281,7 +284,7 @@ class TestRoundtripCommand:
         assert rc == 1
         payload = read_json(tmp_path / "roundtrip.json")
         assert payload["failures"] == 2
-        assert payload["tolerances"]["roundtrip"] == 1e-30
+        assert payload["tolerances"]["roundtrip_err"] == 1e-30
         assert not payload["results"][0]["pass"]
 
     def test_closed_form_traces_once_per_sample(self, monkeypatch):
@@ -305,6 +308,8 @@ class TestLimitsCommand:
         payload = read_json(tmp_path / "limits.json")
         assert payload["pass"] is True
         assert payload["sigma"] == [0.5, 0.05]
+        assert payload["tolerances"] == {"entrywise_err": 1e-4,
+                                         "y_correction_exponent": 0.1}
         assert payload["entrywise_err"] < 1e-4
         assert payload["expected_exponent"] == 0.5
         assert abs(payload["y_correction_exponent"] - 0.5) < 0.1
@@ -387,9 +392,14 @@ class TestJmmsCommand:
         rc = main(["jmms", "--samples", "1", "--shrink-samples", "1",
                    "--out", str(tmp_path)])
         assert rc == 0
-        assert "checks passed" in capsys.readouterr().out
         payload = read_json(tmp_path / "jmms.json")
+        assert capsys.readouterr().out == (
+            "jmms: 2/2 checks passed "
+            f"(max equivalence {payload['max_equivalence']:.3e}, "
+            f"max band err {payload['max_band_err']:.3e})\n")
         assert payload["failures"] == 0
+        assert payload["tolerances"] == {"equivalence": 1e-13, "diag_drift": 1e-10,
+                                         "spectral_drift": 1e-8, "band_err": 1e-3}
         assert payload["max_equivalence"] < 1e-13
         assert payload["max_diag_drift"] < 1e-10
         assert payload["max_spectral_drift"] < 1e-8
@@ -398,6 +408,10 @@ class TestJmmsCommand:
         assert payload["shrink_results"][0]["reach"] == 1e10
         assert_csv_mirrors_rows(tmp_path / "jmms.csv", payload["results"], [
             "index", "n", "equivalence", "diag_drift", "spectral_drift", "pass"])
+
+    def test_no_ray_prints_none(self, capsys):
+        assert main(["jmms", "--samples", "1", "--shrink-samples", "0"]) == 0
+        assert capsys.readouterr().out.endswith(", max band err none)\n")
 
     def test_colliding_walk_is_retried_with_shorter_steps(self, tmp_path,
                                                            monkeypatch):
@@ -436,6 +450,36 @@ class TestOptions:
             "jmms": common | {"--samples", "--shrink-samples"},
         }
 
+    def test_oracle_entry_points_have_exactly_these_keywords(self):
+        def keywords(fn):
+            return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                    if p.kind is p.KEYWORD_ONLY or p.default is not p.empty}
+
+        got = {fn.__name__: keywords(fn) for fn in (
+            jmms_flow.shrinking_check, stokes_numeric.stokes_matrices,
+            cli_harness.bridged_phi_at_u0, pvi_trajectory.regularized_limits,
+            pvi_trajectory.b_matrix, core_linalg.eigen3, jmms_flow.flow_path,
+            pvi_trajectory.seed_asymptotic)}
+        assert got == {
+            "shrinking_check": {"reach": 1e8},
+            "stokes_matrices": {"rtol": 1e-12},
+            "bridged_phi_at_u0": {},
+            "regularized_limits": {"x_small": 1e-6, "n_ladder": 14},
+            "b_matrix": {},
+            "eigen3": {},
+            "flow_path": {"rtol": 1e-12},
+            "seed_asymptotic": {"target_rel": None},
+        }
+        # every keyword the benchmark's workloads pass to these is accepted
+        tree = ast.parse(WORKLOADS_PY.read_text(encoding="utf-8"))
+        passed = {(node.func.attr, kw.arg) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in got for kw in node.keywords}
+        assert passed == {("stokes_matrices", "rtol"), ("regularized_limits", "x_small"),
+                          ("regularized_limits", "n_ladder"), ("flow_path", "rtol"),
+                          ("shrinking_check", "reach")}
+        assert all(kw in got[name] for name, kw in passed)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -443,7 +487,9 @@ class TestExitCodes:
         ["roundtrip", "--samples", "0"],
         ["stokes", "--samples", "0"],
         ["jmms", "--samples", "0", "--shrink-samples", "0"],
-    ], ids=["margin_0", "roundtrip_samples_0", "stokes_samples_0", "jmms_samples_0"])
+        ["jmms", "--samples", "1", "--shrink-samples", "-2"],
+    ], ids=["margin_0", "roundtrip_samples_0", "stokes_samples_0", "jmms_samples_0",
+            "jmms_shrink_samples_negative"])
     def test_configuration_errors_exit_2(self, argv, tmp_path, capsys):
         rc = main(argv + ["--out", str(tmp_path)])
         assert rc == 2

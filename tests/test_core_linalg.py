@@ -95,26 +95,16 @@ class TestEigen3:
             got = eigen3(m)
             ref_np = sorted_vals(np.linalg.eigvals(m))
             ref_cardano = sorted_vals(cardano_roots(*char_coeffs(m)))
-            np.testing.assert_allclose(got.values, ref_np, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(got.values, ref_cardano, rtol=1e-7,
+            np.testing.assert_allclose(got, ref_np, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(got, ref_cardano, rtol=1e-7,
                                        atol=1e-7)
 
     def test_triangular_matrix(self):
         m = np.array([[3.0 + 1j, 5.0, -2.0], [0, -1.0, 7.0], [0, 0, 2.0 - 4j]])
         got = eigen3(m)
-        np.testing.assert_allclose(got.values,
+        np.testing.assert_allclose(got,
                                    sorted_vals([3.0 + 1j, -1.0, 2.0 - 4j]),
                                    rtol=1e-12, atol=1e-12)
-
-    def test_degenerate_flag_with_configured_tolerance(self):
-        # root-finding splits an exact double root by ~sqrt(eps)*scale, so
-        # detection of exact degeneracies needs a tolerance above that floor
-        m = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        assert eigen3(m, degeneracy_rtol=1e-6).degenerate
-        scaled = 1e6 * np.array([[1.0, 0, 0], [0, 1.0 + 1e-12, 0], [0, 0, 3.0]],
-                                dtype=complex)
-        assert eigen3(scaled, degeneracy_rtol=1e-6).degenerate
-        assert not eigen3(np.diag([1.0, 2.0, 3.0]), degeneracy_rtol=1e-6).degenerate
 
     def test_characteristic_polynomial_residual(self):
         # entries of modulus <= 10; absolute residual of p(lambda) below 1e-10
@@ -122,7 +112,7 @@ class TestEigen3:
         for _ in range(200):
             m = rng.uniform(-7, 7, size=(3, 3)) + 1j * rng.uniform(-7, 7, (3, 3))
             c2, c1, c0 = char_coeffs(m)
-            for lam in eigen3(m).values:
+            for lam in eigen3(m):
                 res = abs(lam ** 3 + c2 * lam ** 2 + c1 * lam + c0)
                 assert res < 1e-10
             pair = eigen2(m[:2, :2])

@@ -102,24 +102,21 @@ class TestRightHandSides:
                 assert np.all(np.diag(got) == 0)
 
     def test_shrink_rhs_matches_commutator_plus_gauge(self):
-        # the entrywise [B_k, Psi] plus the co-moving gauge term
+        # u_k [B_k, Psi] at u_k = e^tau u_k(0) plus the constant gauge term
         rng = np.random.default_rng(77)
         for n in (3, 4):
             for _ in range(100):
                 uu = random_u(rng, n)
                 k = int(rng.integers(0, n))
-                direction = complex(uu[k]) * complex(rng.uniform(0.5, 2.0),
-                                                     rng.uniform(-0.5, 0.5))
                 delta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 psi = random_state(rng, n)
-                s = float(rng.uniform(0.0, 5.0))
-                got = _shrink_rhs(uu, k, direction, delta)(s, psi.ravel()).reshape(n, n)
+                tau = float(rng.uniform(0.0, 2.0))
+                got = _shrink_rhs(uu, k, delta)(tau, psi.ravel()).reshape(n, n)
                 u = uu.copy()
-                u[k] = uu[k] + s * direction
+                u[k] = math.exp(tau) * uu[k]
                 b = b_field(u, psi, k)
-                rate = (u[k].conjugate() * direction).real / abs(u[k]) ** 2
-                want = (rate * (delta[:, None] - delta[None, :]) * psi
-                        + direction * (b @ psi - psi @ b))
+                want = ((delta[:, None] - delta[None, :]) * psi
+                        + u[k] * (b @ psi - psi @ b))
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_coordinate_index_validated(self):
@@ -193,14 +190,14 @@ class TestFlow:
 
 
 class TestShrinkingCheck:
-    """Band contraction along an outward ray."""
+    """Band contraction along a radial ray."""
 
     def test_matches_direct_flow_at_short_reach(self):
         # the co-moving gauge must reproduce the plain transport
         rng = np.random.default_rng(91)
         phi = 0.4 * random_state(rng)
         u0 = np.array([0.0, 1.0j, 3.0j])
-        rep = shrinking_check(u0, phi, reach=10.0, n_checkpoints=5)
+        rep = shrinking_check(u0, phi, reach=10.0)
         direct = flow(u0, rep.u_final, phi, rtol=1e-12)
         assert np.max(np.abs(rep.phi_final - direct)) < 1e-9
         # the two matrices are conjugate by a diagonal gauge, so their bands
@@ -216,14 +213,14 @@ class TestShrinkingCheck:
         phi = 0.4 * random_state(rng)
         np.fill_diagonal(phi, 1j * np.diag(phi).imag)
         u0 = np.array([0.0, 1.0j, 3.0j])
-        rep = shrinking_check(u0, phi, reach=1e6, n_checkpoints=10)
+        rep = shrinking_check(u0, phi, reach=1e6)
         assert diag_drift(phi, rep.phi_final) < 1e-11
         assert spectral_drift(phi, rep.phi_final) < 1e-6
 
     def test_diagonal_state_has_constant_band(self):
         phi = np.diag([0.3 + 0.1j, -0.2 + 0.05j, 0.4 + 0j])
         u0 = np.array([0.0, 1.0j, 3.0j])
-        rep = shrinking_check(u0, phi, reach=1e6, n_checkpoints=8)
+        rep = shrinking_check(u0, phi, reach=1e6)
         assert rep.bands[0] == pytest.approx(0.5, abs=1e-14)
         assert max(abs(b - rep.bands[0]) for b in rep.bands) < 1e-12
 
@@ -231,7 +228,7 @@ class TestShrinkingCheck:
         rng = np.random.default_rng(93)
         u0 = np.array([0.0, 1.0, 1.0j, 5.0])
         phi = random_state(rng, 4, scale=0.1)
-        rep = shrinking_check(u0, phi, reach=1e3, n_checkpoints=8)
+        rep = shrinking_check(u0, phi, reach=1e3)
         assert all(b < 1.0 for b in rep.bands)
         assert rep.u_final[3] == pytest.approx(5e3)
 
@@ -239,24 +236,19 @@ class TestShrinkingCheck:
         rng = np.random.default_rng(94)
         phi = 0.3 * random_state(rng)
         u0 = np.array([0.0, 1.0j, 3.0j])
-        rep = shrinking_check(u0, phi, reach=1e4, n_checkpoints=5)
-        assert_allclose(rep.factors, [1.0, 10.0, 100.0, 1e3, 1e4], rtol=1e-12)
-        assert len(rep.bands) == 5
+        rep = shrinking_check(u0, phi, reach=1e4)
+        assert len(rep.factors) == len(rep.bands) == jmms_flow._N_CHECKPOINTS
+        assert rep.factors[0] == 1.0
+        assert_allclose(np.diff(np.log10(rep.factors)), 4.0 / (len(rep.factors) - 1),
+                        rtol=1e-12)
         assert abs(rep.u_final[2]) == pytest.approx(3e4, rel=1e-9)
-
-    def test_custom_ray_direction(self):
-        rng = np.random.default_rng(95)
-        phi = 0.3 * random_state(rng)
-        u0 = np.array([0.0, 1.0j, 3.0j])
-        rep = shrinking_check(u0, phi, ray=1.0 + 3.0j, reach=100.0, n_checkpoints=4)
-        assert abs(rep.u_final[2]) == pytest.approx(300.0, rel=1e-9)
 
     def test_reports_repeatable_work(self):
         rng = np.random.default_rng(98)
         phi = 0.3 * random_state(rng)
         u0 = np.array([0.0, 1.0j, 3.0j])
-        a = shrinking_check(u0, phi, reach=1e3, n_checkpoints=4)
-        b = shrinking_check(u0, phi, reach=1e3, n_checkpoints=4)
+        a = shrinking_check(u0, phi, reach=1e3)
+        b = shrinking_check(u0, phi, reach=1e3)
         work = (a.nfev, a.naccept, a.nreject)
         assert a.nfev > 0 and a.naccept > 0 and a.nreject >= 0
         assert (b.nfev, b.naccept, b.nreject) == work
@@ -273,8 +265,8 @@ class TestShrinkingCheck:
         rng = np.random.default_rng(99)
         phi = 0.3 * random_state(rng)
         u0 = np.array([0.0, 1.0j, 3.0j])
-        rep = shrinking_check(u0, phi, reach=1e4, n_checkpoints=5)
-        assert len(seen) == 4
+        rep = shrinking_check(u0, phi, reach=1e4)
+        assert len(seen) == jmms_flow._N_CHECKPOINTS - 1
         assert (rep.nfev, rep.naccept, rep.nreject) == tuple(map(sum, zip(*seen)))
 
     def test_criterion_8_ray_is_not_noise_limited(self):
@@ -288,9 +280,8 @@ class TestShrinkingCheck:
         assert rep.naccept < 1000
 
     def test_criterion_8_ray_steps_in_log_reach(self):
-        # in tau = log1p(s |ray| / |u_k|) the gauge term rate (delta_i -
-        # delta_j) psi ~ psi / s is nearly constant; stepped in s, the same
-        # ray needs about 490 accepted steps
+        # in tau = log c the gauge term (delta_i - delta_j) psi is constant;
+        # stepped in s = c - 1, the same ray needs about 490 accepted steps
         from isolab.cli_harness import U_BASE, SampleSpec, bridged_phi_at_u0, shrink_sample
 
         d, _ = shrink_sample(SampleSpec(narrow=True), 200)
@@ -298,8 +289,8 @@ class TestShrinkingCheck:
         assert rep.naccept < 250
 
     def test_singularity_location_is_an_s_value(self, monkeypatch):
-        # U3's ray runs radially from u_3 = 3i: speed |ray| / |u_3| = 1, so a
-        # singularity met at tau is reported at s = expm1(tau)
+        # the ray scales u_3 = 3i by c = e^tau, so a singularity met at tau is
+        # reported at s = c - 1 = expm1(tau)
         def raising(f, t0, t1, y0, **kwargs):
             raise SingularityError("step size collapsed", location=math.log1p(41.5))
 
@@ -312,12 +303,8 @@ class TestShrinkingCheck:
     def test_invalid_rays_rejected(self):
         phi = np.diag([0.1, 0.2, 0.3]).astype(complex)
         u0 = np.array([0.0, 1.0j, 3.0j])
-        with pytest.raises(DomainError, match="decrease"):
-            shrinking_check(u0, phi, ray=-3.0j, reach=10.0)
         with pytest.raises(DomainError, match="reach"):
             shrinking_check(u0, phi, reach=1.0)
-        with pytest.raises(DomainError, match="nonzero"):
-            shrinking_check(u0, phi, ray=0.0, reach=10.0)
         with pytest.raises(DomainError):
             shrinking_check(np.array([0.0, 1.0j, 0.0]), phi, reach=10.0)
 
@@ -330,8 +317,8 @@ class TestBandTowardSigma:
         from isolab.cli_harness import U_BASE, bridged_phi_at_u0, shrink_checks
 
         d = PviAsymptoticData(0.21, -0.33, 0.41, 0.52, 0.45, 1.1)
-        phi = bridged_phi_at_u0(d, x_seed=1e-3, rtol=1e-9)
-        rep = shrinking_check(np.array(U_BASE), phi, reach=1e4, n_checkpoints=10)
+        phi = bridged_phi_at_u0(d)
+        rep = shrinking_check(np.array(U_BASE), phi, reach=1e4)
         band = dict(shrink_checks(d, rep))["shrink_band"]
         assert band < 5e-3
         # the ray genuinely contracts the band toward the target

@@ -34,7 +34,6 @@ from isolab.pvi_trajectory import (
     gamma_exponents,
     omega_from_state,
     a_matrix,
-    b_matrix,
     pvi_rhs,
     regularized_limits,
     seed_asymptotic,
@@ -223,14 +222,6 @@ class TestTrajectory:
         conj = (e[:, None] * om) / e[None, :]
         assert_allclose(a[:2, :2], conj[:2, :2], rtol=0, atol=1e-15)
 
-    def test_b_matrix_explicit_regulator_matches_default(self):
-        d = D_MIXED
-        seed = seed_asymptotic(d, 1e-4, target_rel=1e-8)
-        pt = extend_trajectory(d.thetas, seed, [1e-3])[0]
-        default = b_matrix(d, pt)
-        explicit = b_matrix(d, pt, phi2=delta_k(arrow_q(d).phi0, 2))
-        assert_allclose(default, explicit, rtol=0, atol=0)
-
     def test_singularity_location_is_an_x_value(self, monkeypatch):
         # the integration variable is t = log x; a singularity met at t is
         # reported at x = e^t
@@ -269,21 +260,21 @@ class TestRegularizedLimits:
     """End-to-end ladder: the regularised families converge to the closed form."""
 
     def test_b_family_converges_to_boundary_value(self):
-        rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)
+        rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14)
         assert dict(ladder_checks(D_REAL, rep))["ladder_entry"] < 1e-5
 
     def test_a_family_converges_to_truncated_boundary_value(self):
-        rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)
+        rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14)
         assert np.max(np.abs(rep.a_limit - delta_k(arrow_q(D_REAL).phi0, 2))) < 1e-5
 
     def test_exponent_reports(self):
         # y correction: slope of y/(J x^(1-sigma)) - 1 -> min(Re s, 1 - Re s)
-        rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14, rtol=1e-11)
+        rep = regularized_limits(D_REAL, x_small=1e-5, n_ladder=14)
         assert dict(ladder_checks(D_REAL, rep))["ladder_exponent"] < 0.1
         assert not rep.degraded
 
     def test_exponent_reports_complex_sigma(self):
-        rep = regularized_limits(D_COMPLEX, x_small=1e-5, n_ladder=14, rtol=1e-11)
+        rep = regularized_limits(D_COMPLEX, x_small=1e-5, n_ladder=14)
         err = dict(ladder_checks(D_COMPLEX, rep))
         assert err["ladder_exponent"] < 0.1
         assert err["ladder_entry"] < 1e-5
@@ -291,7 +282,7 @@ class TestRegularizedLimits:
     def test_degraded_flag_near_power_collision(self):
         # sigma = 0.52: the correction powers 0.52 and 0.48 nearly collide
         d = PviAsymptoticData(0.21, -0.33, 0.41, 0.52, 0.52, 1.1)
-        rep = regularized_limits(d, x_small=1e-4, n_ladder=8, rtol=1e-10)
+        rep = regularized_limits(d, x_small=1e-4, n_ladder=8)
         assert rep.degraded
 
     def test_ladder_must_stay_small(self):
@@ -308,7 +299,7 @@ class TestRegularizedLimits:
             regularized_limits(d)
 
     def test_ladder_metadata(self):
-        rep = regularized_limits(D_REAL, x_small=1e-4, n_ladder=6, rtol=1e-10)
+        rep = regularized_limits(D_REAL, x_small=1e-4, n_ladder=6)
         assert len(rep.xs) == 6 == len(rep.a_values) == len(rep.b_values)
         assert rep.xs == sorted(rep.xs)
         assert rep.seed.x0 < rep.xs[0]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from isolab import stokes_numeric
 from isolab.arrows import PviAsymptoticData, arrow_g, arrow_q
 from isolab.cli_harness import stokes_checks
 from isolab.core_linalg import as_matrix
@@ -43,7 +44,7 @@ def bridged():
     """One bridged sample (Phi at the base configuration, numeric and closed S)."""
     from isolab.cli_harness import U_BASE, bridged_phi_at_u0
 
-    phi = bridged_phi_at_u0(D_SAMPLE, x_seed=1e-4, rtol=1e-10)
+    phi = bridged_phi_at_u0(D_SAMPLE)
     system = IrregularSystem(np.array(U_BASE), phi)
     num = stokes_matrices(system, rtol=1e-10)
     closed = arrow_g(arrow_q(D_SAMPLE))
@@ -70,11 +71,6 @@ class TestSystemValidation:
         phi = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # eigs {0, 1}
         with pytest.raises(DomainError, match="resonant spectrum"):
             IrregularSystem(np.array([0.0, 2.0j]), phi)
-
-    def test_inner_radius_must_fit(self):
-        system = IrregularSystem(U3, np.diag([0.2, -0.1, 0.3]).astype(complex))
-        with pytest.raises(DomainError, match="radius"):
-            stokes_matrices(system, radius=5.0)
 
 
 class TestDiagonalResidue:
@@ -109,9 +105,11 @@ class TestBridgedAgreement:
         system, num, _ = bridged
         assert monodromy_mismatch(system, num.s_plus, num.s_minus) < 1e-6
 
-    def test_radius_doubling_stability(self, bridged):
+    def test_radius_doubling_stability(self, bridged, monkeypatch):
         system, num, _ = bridged
-        num2 = stokes_matrices(system, radius=2 * num.radius, rtol=1e-9)
+        monkeypatch.setattr(stokes_numeric, "default_radius", lambda _: 2 * num.radius)
+        num2 = stokes_matrices(system, rtol=1e-9)
+        assert num2.radius == 2 * num.radius
         assert np.max(np.abs(num2.s_plus - num.s_plus)) < 1e-6
         assert np.max(np.abs(num2.s_minus - num.s_minus)) < 1e-6
 
@@ -138,10 +136,11 @@ class TestBridgedAgreement:
 class TestAccuracyGuard:
     """The structural residual check fails loudly, not silently."""
 
-    def test_unattainable_check_tol_raises(self, bridged):
+    def test_unattainable_check_tol_raises(self, bridged, monkeypatch):
         system, _, _ = bridged
+        monkeypatch.setattr(stokes_numeric, "_CHECK_TOL", 1e-15)
         with pytest.raises(AccuracyError) as exc_info:
-            stokes_matrices(system, rtol=1e-8, check_tol=1e-15)
+            stokes_matrices(system, rtol=1e-8)
         assert exc_info.value.residual > 1e-15
 
 

@@ -217,7 +217,7 @@ class TestContourPlan:
         # contour sums its terms down to rtol / 1000, not rtol / (steps in
         # the plan)
         rtol = 1e-12
-        got = stokes_matrices(IrregularSystem(U3, PHI_DIAG), radius=20.0, rtol=rtol)
+        got = stokes_matrices(IrregularSystem(U3, PHI_DIAG), rtol=rtol)
         assert got.steps == 78
         assert got.tail_bound <= 1e-3 * rtol * got.steps
 
